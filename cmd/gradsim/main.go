@@ -57,37 +57,51 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"grads"
 	"grads/internal/telemetry"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run ('all' or one of: "+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout and
+// diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gradsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run ('all' or one of: "+
 		strings.Join(grads.Experiments(), ", ")+")")
-	list := flag.Bool("list", false, "list available experiments and exit")
-	seed := flag.Int64("seed", 0, "override the RNG seed of seeded experiments (0 keeps each experiment's default)")
-	csv := flag.Bool("csv", false, "emit CSV instead of a formatted table (tabular experiments only)")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON to this file (open in chrome://tracing or Perfetto)")
-	jsonlOut := flag.String("trace-jsonl", "", "stream typed telemetry events to this file as JSON lines")
-	metrics := flag.Bool("metrics", false, "print the telemetry metric summary after the run")
-	faults := flag.String("faults", "", "run the QR workload under this fault schedule "+
+	list := fs.Bool("list", false, "list available experiments and exit")
+	seed := fs.Int64("seed", 0, "override the RNG seed of seeded experiments (0 keeps each experiment's default)")
+	csv := fs.Bool("csv", false, "emit CSV instead of a formatted table (tabular experiments only)")
+	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON to this file (open in chrome://tracing or Perfetto)")
+	jsonlOut := fs.String("trace-jsonl", "", "stream typed telemetry events to this file as JSON lines")
+	metrics := fs.Bool("metrics", false, "print the telemetry metric summary after the run")
+	faults := fs.String("faults", "", "run the QR workload under this fault schedule "+
 		"(events 'kind@start[-end]:target[:value]' joined by ';', e.g. 'crash@100-400:utk1;outage@10-40:nws')")
-	netRef := flag.Bool("netsim-reference", false, "use the reference (global) network solver instead of the incremental one (traces are byte-identical either way)")
-	shards := flag.Int("shards", 1, "shard kernels for the sharded experiments (scale, scale-smoke); 1 is the single-kernel oracle, any N is trace-identical")
-	jobs := flag.String("jobs", "", "run an explicit metascheduler submission stream "+
+	netRef := fs.Bool("netsim-reference", false, "use the reference (global) network solver instead of the incremental one (traces are byte-identical either way)")
+	shards := fs.Int("shards", 1, "shard kernels for the sharded experiments (scale, scale-smoke); 1 is the single-kernel oracle, any N is trace-identical")
+	jobs := fs.String("jobs", "", "run an explicit metascheduler submission stream "+
 		"(entries 'kind@submit:key=value,...' joined by ';', e.g. 'qr@0:n=3000,w=8,min=4,bid=40;farm@25:tasks=24,w=4,bid=3')")
-	arrivals := flag.String("arrivals", "", "serve an explicit request workload through the front door "+
+	arrivals := fs.String("arrivals", "", "serve an explicit request workload through the front door "+
 		"(phases 'kind@start-end:param,...' joined by ';', e.g. 'poisson@0-600:rate=0.2;flash@0-600:rate=0,peak=0.5,at=300,hold=60,mix=int:1')")
-	route := flag.String("route", "ucb", "front-door routing policy for -arrivals (one of: rr, least, wrand, ucb, eps)")
-	zoo := flag.String("zoo", "", "schedule an explicit DAG-zoo spec with the -heuristic list scheduler "+
+	route := fs.String("route", "ucb", "front-door routing policy for -arrivals (one of: rr, least, wrand, ucb, eps)")
+	zoo := fs.String("zoo", "", "schedule an explicit DAG-zoo spec with the -heuristic list scheduler "+
 		"(entries 'class[:key=value,...]' joined by ';', e.g. 'chain:n=16,ccr=0.5;fanout:width=24,ccr=4;eman')")
-	heuristic := flag.String("heuristic", "heft", "list-scheduling heuristic for -zoo (one of: heft, cpop, sufferage-list, min-min)")
-	flag.Parse()
+	heuristic := fs.String("heuristic", "heft", "list-scheduling heuristic for -zoo (one of: heft, cpop, sufferage-list, min-min)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		infos := grads.Describe()
@@ -102,9 +116,17 @@ func main() {
 			if info.HasCSV {
 				csvMark = " [csv]"
 			}
-			fmt.Printf("%-*s  %s%s\n", width, info.Name, info.Title, csvMark)
+			fmt.Fprintf(stdout, "%-*s  %s%s\n", width, info.Name, info.Title, csvMark)
 		}
-		return
+		return 0
+	}
+
+	// An unknown experiment fails before any trace file is created, so bad
+	// input leaves no empty output behind.
+	runsExp := *zoo == "" && *arrivals == "" && *jobs == "" && *faults == ""
+	if runsExp && *exp != "all" && !slices.Contains(grads.Experiments(), *exp) {
+		fmt.Fprintf(stderr, "gradsim: unknown experiment %q (have: all, %s)\n", *exp, strings.Join(grads.Experiments(), ", "))
+		return 1
 	}
 
 	grads.SetSeed(*seed)
@@ -117,16 +139,16 @@ func main() {
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "gradsim:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "gradsim:", err)
+				return 1
 			}
 			tel.AddSink(telemetry.NewChromeSink(f))
 		}
 		if *jsonlOut != "" {
 			f, err := os.Create(*jsonlOut)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "gradsim:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "gradsim:", err)
+				return 1
 			}
 			tel.AddSink(telemetry.NewJSONL(f))
 		}
@@ -152,20 +174,21 @@ func main() {
 		out, err = grads.RunExperiment(*exp)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gradsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "gradsim:", err)
+		return 1
 	}
-	fmt.Print(out)
+	fmt.Fprint(stdout, out)
 
 	if tel != nil {
 		if cerr := tel.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "gradsim:", cerr)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "gradsim:", cerr)
+			return 1
 		}
 		if *metrics {
-			fmt.Println("\n==== telemetry summary ====")
-			fmt.Println()
-			fmt.Print(tel.Summary())
+			fmt.Fprintln(stdout, "\n==== telemetry summary ====")
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, tel.Summary())
 		}
 	}
+	return 0
 }

@@ -1,13 +1,12 @@
 package economy
 
 // SpotPricer posts a single tâtonnement-adjusted price per node-round for a
-// shared resource pool. It is the priority-pricing half of the G-commerce
-// formulation applied to queue ordering: each queued job carries a bid (its
-// willingness to pay per node-round), and its effective priority is the
-// bid measured against the current posted price. When the pool is
-// oversubscribed the price rises, so low-bid jobs sink relative to high-bid
-// ones exactly when contention makes ordering matter; when the pool idles
-// the price decays back to the floor and FIFO-like ordering re-emerges.
+// shared resource pool, the posted-price half of the G-commerce formulation:
+// the price rises while the pool is oversubscribed and decays back to the
+// floor while it idles. One price shared by every bidder cannot reorder
+// bids, so the metascheduler ranks its queue by the bids themselves and
+// only reports the price; it would enter a decision only through a
+// non-ordinal choice such as a budget constraint.
 type SpotPricer struct {
 	// Floor is the production-cost floor the price never drops below.
 	Floor float64
@@ -35,10 +34,8 @@ func (sp *SpotPricer) Price() float64 { return sp.price }
 
 // maxPriceFactor caps the posted price at this multiple of the floor.
 // Tâtonnement under sustained oversubscription is multiplicative, so an
-// uncapped price eventually overflows to +Inf — which collapses every
-// effective priority to zero and makes the price unserializable.
-// Effective priorities are bids divided by the one shared price, so the
-// cap can never reorder the queue; it only keeps the arithmetic finite.
+// uncapped price eventually overflows to +Inf, which makes it
+// unserializable; the cap only keeps the arithmetic finite.
 const maxPriceFactor = 1e12
 
 // Observe feeds one round's demand (queued node demand) and supply (free
@@ -56,14 +53,4 @@ func (sp *SpotPricer) Observe(demand, supply int) {
 	if ceil := sp.Floor * maxPriceFactor; sp.price > ceil {
 		sp.price = ceil
 	}
-}
-
-// EffectivePriority converts a job's bid into its queue priority under the
-// posted price: how many node-rounds' worth of the current price the job is
-// willing to pay. Non-positive bids rank at zero.
-func (sp *SpotPricer) EffectivePriority(bid float64) float64 {
-	if bid <= 0 {
-		return 0
-	}
-	return bid / sp.price
 }

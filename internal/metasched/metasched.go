@@ -3,6 +3,7 @@ package metasched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"grads/internal/appmgr"
@@ -76,8 +77,8 @@ type JobSpec struct {
 	// and for relaxed admission of long-starved jobs.
 	Width    int
 	MinWidth int
-	// Bid is the job's willingness to pay per node-round; effective
-	// priority is Bid against the posted spot price.
+	// Bid is the job's willingness to pay per node-round; the priority
+	// policies rank queued jobs by it (non-positive bids rank equal).
 	Bid float64
 	// EstRuntime is the user's runtime estimate, used for backfill
 	// reservations (never for correctness).
@@ -186,8 +187,8 @@ type Config struct {
 	// 2*StarveAfter; non-positive disables relaxation).
 	RelaxAfter float64
 
-	// PriceFloor and PriceAlpha parameterize the spot pricer that converts
-	// bids into effective priorities (defaults 1 and 0.1).
+	// PriceFloor and PriceAlpha parameterize the spot pricer whose posted
+	// price every round reports (defaults 1 and 0.1).
 	PriceFloor float64
 	PriceAlpha float64
 
@@ -253,7 +254,12 @@ type Scheduler struct {
 
 	jobs   []*Job // by ID
 	byName map[string]*Job
-	queued []*Job
+	queued []*Job // always in admission order under the policy
+
+	// Scratch reused by every round: the running jobs and their estimated
+	// lease releases.
+	running  []*Job
+	releases []release
 
 	proc      *simcore.Proc
 	inRound   bool
@@ -350,6 +356,12 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	if spec.Make == nil {
 		return nil, fmt.Errorf("metasched: job %s needs a COP factory", spec.Name)
 	}
+	if math.IsNaN(spec.Bid) || math.IsInf(spec.Bid, 0) {
+		return nil, fmt.Errorf("metasched: job %s bid %v is not a finite number", spec.Name, spec.Bid)
+	}
+	if math.IsNaN(spec.EstRuntime) || math.IsInf(spec.EstRuntime, 0) {
+		return nil, fmt.Errorf("metasched: job %s runtime estimate %v is not a finite number", spec.Name, spec.EstRuntime)
+	}
 	job := &Job{ID: len(s.jobs) + 1, Spec: spec, state: JobPending, submitAt: spec.Submit}
 	s.jobs = append(s.jobs, job)
 	s.byName[spec.Name] = job
@@ -374,7 +386,7 @@ func (s *Scheduler) arrive(job *Job) {
 	job.cop = app
 	job.state = JobQueued
 	job.enqueuedAt = s.cfg.Sim.Now()
-	s.queued = append(s.queued, job)
+	s.enqueue(job)
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
 		tel.Counter(s.comp, "submissions").Inc()
 		tel.Emit(telemetry.Event{
@@ -510,64 +522,42 @@ func (s *Scheduler) round(p *simcore.Proc) {
 		tel.Gauge(s.comp, "free_nodes").Set(float64(len(free)))
 		tel.Gauge(s.comp, "spot_price").Set(s.pricer.Price())
 	}
-	prio := func(j *Job) float64 { return s.pricer.EffectivePriority(j.Spec.Bid) }
 
 	// Admission loop: admit heads while they fit; under backfill, let
 	// safe smaller jobs around a blocked head. Jobs inside their requeue
 	// backoff window are invisible to the round.
+	now := p.Now()
 	for {
-		eligible := s.eligibleQueued(p.Now())
-		if len(eligible) == 0 {
+		hi := s.nextEligible(0, now)
+		if hi < 0 {
 			break
 		}
-		order := orderQueue(s.cfg.Policy, eligible, prio)
-		head := order[0]
+		head := s.queued[hi]
 		if nodes := s.placement(head, free, avail); len(nodes) >= s.needWidth(head) {
 			if s.admit(p, head, nodes) {
 				free = s.leases.Free(snap.Nodes)
 				continue
 			}
 		}
-		if s.cfg.Policy != PolicyBackfill || len(order) == 1 {
+		if s.cfg.Policy != PolicyBackfill || s.nextEligible(hi+1, now) < 0 {
 			break
 		}
-		shadow, extra := backfillWindow(p.Now(), len(free), s.needWidth(head), s.runningJobs())
+		shadow, extra := s.backfillWindow(now, len(free), s.needWidth(head), s.runningJobs())
 		admitted := false
-		for _, cand := range order[1:] {
-			nodes := s.placement(cand, free, avail)
-			if len(nodes) < s.needWidth(cand) {
-				continue
-			}
-			if p.Now()+cand.Spec.EstRuntime > shadow && len(nodes) > extra {
-				continue // would delay the head's reservation
-			}
-			if s.admit(p, cand, nodes) {
-				free = s.leases.Free(snap.Nodes)
-				admitted = true
+		for i := hi + 1; !admitted; i++ {
+			var nodes []*topology.Node
+			if i, nodes = s.nextBackfill(now, i, free, avail, shadow, extra); i < 0 {
 				break
 			}
+			admitted = s.admit(p, s.queued[i], nodes)
 		}
 		if !admitted {
 			break
 		}
+		free = s.leases.Free(snap.Nodes)
 	}
 
-	s.considerPreemption(p.Now(), free, avail, prio)
-}
-
-// eligibleQueued returns the queued jobs admissible now: those not parked
-// inside a requeue-backoff window.
-func (s *Scheduler) eligibleQueued(now float64) []*Job {
-	if s.cfg.RequeueBackoff <= 0 {
-		return s.queued
-	}
-	out := make([]*Job, 0, len(s.queued))
-	for _, j := range s.queued {
-		if j.notBefore <= now {
-			out = append(out, j)
-		}
-	}
-	return out
+	s.considerPreemption(now, free)
 }
 
 // placement maps a queued job over the free pool through its own mapper.
@@ -586,14 +576,16 @@ func (s *Scheduler) needWidth(j *Job) int {
 	return w
 }
 
-// runningJobs returns the running jobs ordered by ID.
+// runningJobs returns the running jobs ordered by ID, in a scratch slice
+// that the next call overwrites.
 func (s *Scheduler) runningJobs() []*Job {
-	var out []*Job
+	out := s.running[:0]
 	for _, j := range s.jobs {
 		if j.state == JobRunning {
 			out = append(out, j)
 		}
 	}
+	s.running = out
 	return out
 }
 
@@ -627,16 +619,6 @@ func (s *Scheduler) admit(p *simcore.Proc, job *Job, nodes []*topology.Node) boo
 	}
 	s.cfg.Sim.Spawn(fmt.Sprintf("job:%s", job.Spec.Name), func(rp *simcore.Proc) { s.runJob(rp, job) })
 	return true
-}
-
-// dequeue removes a job from the admission queue.
-func (s *Scheduler) dequeue(job *Job) {
-	for i, j := range s.queued {
-		if j == job {
-			s.queued = append(s.queued[:i], s.queued[i+1:]...)
-			return
-		}
-	}
 }
 
 // runJob drives one admitted job through its application manager until it
@@ -713,7 +695,7 @@ func (s *Scheduler) requeue(job *Job, rep *appmgr.Report) {
 	}
 	job.state = JobQueued
 	job.enqueuedAt = s.cfg.Sim.Now()
-	s.queued = append(s.queued, job)
+	s.enqueue(job)
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
 		tel.Counter(s.comp, "requeues").Inc()
 	}
@@ -786,13 +768,15 @@ func (s *Scheduler) finish(job *Job, rep *appmgr.Report, err error) {
 // negotiates a stop-and-shrink of a lower-priority running job with the
 // rescheduler. The victim checkpoints through SRS, its lease shrinks at the
 // next segment boundary, and the freed nodes let the starving job in.
-func (s *Scheduler) considerPreemption(now float64, free []*topology.Node, avail func(*topology.Node) float64, prio func(*Job) float64) {
-	eligible := s.eligibleQueued(now)
-	if s.cfg.Policy == PolicyFIFO || s.cfg.StarveAfter <= 0 || len(eligible) == 0 {
+func (s *Scheduler) considerPreemption(now float64, free []*topology.Node) {
+	if s.cfg.Policy == PolicyFIFO || s.cfg.StarveAfter <= 0 {
 		return
 	}
-	order := orderQueue(s.cfg.Policy, eligible, prio)
-	head := order[0]
+	hi := s.nextEligible(0, now)
+	if hi < 0 {
+		return
+	}
+	head := s.queued[hi]
 	if now-head.enqueuedAt < s.cfg.StarveAfter {
 		return
 	}
@@ -800,10 +784,10 @@ func (s *Scheduler) considerPreemption(now float64, free []*topology.Node, avail
 	if need <= 0 {
 		return // head is blocked on shape (e.g. same-site), not capacity
 	}
-	headPrio := prio(head)
+	headRank := bidRank(head)
 	var victims []*rescheduler.Preemptee
 	for _, j := range s.runningJobs() {
-		if j.preemptPending || j.lease == nil || prio(j) >= headPrio {
+		if j.preemptPending || j.lease == nil || bidRank(j) >= headRank {
 			continue
 		}
 		victims = append(victims, &rescheduler.Preemptee{
@@ -811,7 +795,7 @@ func (s *Scheduler) considerPreemption(now float64, free []*topology.Node, avail
 			App:      j.cop.Model(),
 			Nodes:    j.lease.Nodes(),
 			MinNodes: j.minWidth(),
-			Priority: prio(j),
+			Priority: bidRank(j),
 		})
 	}
 	if plan := s.resch.PlanPreemption(victims, need); plan != nil {

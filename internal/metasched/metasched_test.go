@@ -2,6 +2,7 @@ package metasched
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"grads/internal/apps"
@@ -184,20 +185,21 @@ func TestBackfillWindow(t *testing.T) {
 	j1.lease, _ = lm.Grant("j1", nodes[:4])
 	j2.lease, _ = lm.Grant("j2", nodes[4:10])
 	running := []*Job{j1, j2}
+	s := &Scheduler{}
 
-	if shadow, extra := backfillWindow(0, 2, 6, running); shadow != 100 || extra != 0 {
+	if shadow, extra := s.backfillWindow(0, 2, 6, running); shadow != 100 || extra != 0 {
 		t.Fatalf("window = %g,%d want 100,0", shadow, extra)
 	}
-	if shadow, extra := backfillWindow(0, 2, 5, running); shadow != 100 || extra != 1 {
+	if shadow, extra := s.backfillWindow(0, 2, 5, running); shadow != 100 || extra != 1 {
 		t.Fatalf("window = %g,%d want 100,1", shadow, extra)
 	}
-	if shadow, _ := backfillWindow(0, 2, 12, running); shadow != 300 {
+	if shadow, _ := s.backfillWindow(0, 2, 12, running); shadow != 300 {
 		t.Fatalf("shadow = %g want 300", shadow)
 	}
-	if shadow, _ := backfillWindow(0, 2, 13, running); !math.IsInf(shadow, 1) {
+	if shadow, _ := s.backfillWindow(0, 2, 13, running); !math.IsInf(shadow, 1) {
 		t.Fatalf("unsatisfiable head got shadow %g, want +Inf", shadow)
 	}
-	if shadow, extra := backfillWindow(0, 6, 6, running); shadow != 0 || extra != 0 {
+	if shadow, extra := s.backfillWindow(0, 6, 6, running); shadow != 0 || extra != 0 {
 		t.Fatalf("head fits now: window = %g,%d want 0,0", shadow, extra)
 	}
 }
@@ -360,10 +362,20 @@ func TestSubmitValidation(t *testing.T) {
 		{Name: "b", Width: 0, Make: ok.Make}, // no width
 		{Name: "c", Width: 2, MinWidth: 4, Make: ok.Make}, // min > width
 		{Name: "d", Width: 2},                             // no factory
+		{Name: "nan-bid", Width: 2, Bid: math.NaN(), Make: ok.Make},
+		{Name: "inf-bid", Width: 2, Bid: math.Inf(1), Make: ok.Make},
+		{Name: "neg-inf-bid", Width: 2, Bid: math.Inf(-1), Make: ok.Make},
+		{Name: "nan-est", Width: 2, EstRuntime: math.NaN(), Make: ok.Make},
+		{Name: "inf-est", Width: 2, EstRuntime: math.Inf(1), Make: ok.Make},
+		{Name: "neg-inf-est", Width: 2, EstRuntime: math.Inf(-1), Make: ok.Make},
 	}
 	for i, spec := range bad {
-		if _, err := s.Submit(spec); err == nil {
+		_, err := s.Submit(spec)
+		if err == nil {
 			t.Fatalf("bad spec %d accepted", i)
+		}
+		if spec.Name != "" && !strings.Contains(err.Error(), spec.Name) {
+			t.Fatalf("bad spec %d: error %q does not name job %s", i, err, spec.Name)
 		}
 	}
 	if _, err := New(Config{}); err == nil {
