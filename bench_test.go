@@ -38,7 +38,7 @@ func BenchmarkFig3QRStopRestart(b *testing.B) {
 	cfg := experiments.DefaultFig3Config()
 	cfg.Sizes = []int{8000} // the crossover size; the CLI sweeps all sizes
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunFig3(cfg)
+		rows, err := experiments.RunFig3(experiments.Options{}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func BenchmarkFig3QRStopRestart(b *testing.B) {
 func BenchmarkFig4NBodySwap(b *testing.B) {
 	cfg := experiments.DefaultFig4Config()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig4(cfg)
+		r, err := experiments.RunFig4(experiments.Options{}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func BenchmarkEMANWorkflowSchedule(b *testing.B) {
 func BenchmarkEMANScheduleExecution(b *testing.B) {
 	cfg := experiments.DefaultEMANConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunEMAN(cfg); err != nil {
+		if _, err := experiments.RunEMAN(experiments.Options{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func BenchmarkSchedulerHeuristics(b *testing.B) {
 func BenchmarkSwapPolicies(b *testing.B) {
 	cfg := experiments.DefaultFig4Config()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunSwapPolicies(cfg); err != nil {
+		if _, err := experiments.RunSwapPolicies(experiments.Options{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkSwapPolicies(b *testing.B) {
 func BenchmarkOpportunistic(b *testing.B) {
 	cfg := experiments.DefaultOpportunisticConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunOpportunistic(cfg); err != nil {
+		if _, err := experiments.RunOpportunistic(experiments.Options{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,7 +400,7 @@ func BenchmarkFaultRecovery(b *testing.B) {
 	cfg := experiments.DefaultFaultConfig()
 	cfg.Intervals = []int{20}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFault(cfg); err != nil {
+		if _, err := experiments.RunFault(experiments.Options{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -448,15 +448,13 @@ func benchmarkE2E(b *testing.B, newSink func(w io.Writer) *telemetry.JSONL) {
 	cfg := experiments.DefaultChaosConfig()
 	cfg.N, cfg.Particles, cfg.Width = 2000, 100, 6
 	cfg.MTBFs = []float64{1500}
-	defer experiments.SetTelemetry(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tel := telemetry.New()
 		sink := newSink(io.Discard)
 		tel.AddSink(sink)
-		experiments.SetTelemetry(tel)
-		if _, err := experiments.RunChaos(cfg); err != nil {
+		if _, err := experiments.RunChaos(experiments.Options{Telemetry: tel}, cfg); err != nil {
 			b.Fatal(err)
 		}
 		if err := sink.Close(); err != nil {

@@ -62,10 +62,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 
 	"grads"
+	"grads/internal/faultinject"
+	"grads/internal/frontdoor"
+	"grads/internal/listsched"
+	"grads/internal/metasched"
 	"grads/internal/telemetry"
 )
 
@@ -121,18 +124,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// An unknown experiment fails before any trace file is created, so bad
-	// input leaves no empty output behind.
-	runsExp := *zoo == "" && *arrivals == "" && *jobs == "" && *faults == ""
-	if runsExp && *exp != "all" && !slices.Contains(grads.Experiments(), *exp) {
-		fmt.Fprintf(stderr, "gradsim: unknown experiment %q (have: all, %s)\n", *exp, strings.Join(grads.Experiments(), ", "))
+	// Every input is checked before any output file is created, so bad
+	// input fails cleanly and leaves nothing behind.
+	var job func(grads.Options) (string, error)
+	var bad error
+	switch {
+	case *shards < 1:
+		bad = fmt.Errorf("-shards %d: need at least one shard kernel", *shards)
+	case *zoo != "":
+		bad = errors.Join(errOf(listsched.ParseZoo(*zoo)), errOf(listsched.New(*heuristic)))
+		job = func(o grads.Options) (string, error) { return grads.RunZoo(o, *zoo, *heuristic) }
+	case *arrivals != "":
+		bad = errors.Join(errOf(frontdoor.ParseArrivals(*arrivals)), errOf(frontdoor.ParseRoutePolicy(*route)))
+		job = func(o grads.Options) (string, error) { return grads.RunArrivals(o, *arrivals, *route) }
+	case *jobs != "":
+		bad = errOf(metasched.ParseStream(*jobs))
+		job = func(o grads.Options) (string, error) { return grads.RunJobStream(o, *jobs) }
+	case *faults != "":
+		bad = errOf(faultinject.ParseSpec(*faults))
+		job = func(o grads.Options) (string, error) { return grads.RunFaultSpec(o, *faults) }
+	case *exp == "all" && !*csv:
+		job = grads.RunAll
+	default:
+		bad = checkExperiment(*exp, *csv)
+		job = func(o grads.Options) (string, error) {
+			rep, err := grads.RunExperiment(o, *exp)
+			if err != nil || !*csv {
+				return rep.Text, err
+			}
+			return rep.Table.CSV(), nil
+		}
+	}
+	if bad != nil {
+		fmt.Fprintln(stderr, "gradsim:", bad)
 		return 1
 	}
 
-	grads.SetSeed(*seed)
-	grads.SetReferenceSolver(*netRef)
-	grads.SetShards(*shards)
-
+	opts := grads.Options{Seed: *seed, ReferenceSolver: *netRef, Shards: *shards}
 	var tel *telemetry.Telemetry
 	if *traceOut != "" || *jsonlOut != "" || *metrics {
 		tel = telemetry.New()
@@ -152,27 +180,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			tel.AddSink(telemetry.NewJSONL(f))
 		}
-		grads.SetTelemetry(tel)
+		opts.Telemetry = tel
 	}
 
-	var out string
-	var err error
-	switch {
-	case *zoo != "":
-		out, err = grads.RunZoo(*zoo, *heuristic)
-	case *arrivals != "":
-		out, err = grads.RunArrivals(*arrivals, *route)
-	case *jobs != "":
-		out, err = grads.RunJobStream(*jobs)
-	case *faults != "":
-		out, err = grads.RunFaultSpec(*faults)
-	case *csv:
-		out, err = grads.RunExperimentCSV(*exp)
-	case *exp == "all":
-		out, err = grads.RunAll()
-	default:
-		out, err = grads.RunExperiment(*exp)
-	}
+	out, err := job(opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "gradsim:", err)
 		return 1
@@ -191,4 +202,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// errOf keeps only the error of a parse, for input checks.
+func errOf[T any](_ T, err error) error { return err }
+
+// checkExperiment rejects an unknown experiment name or, with csv, one
+// without a CSV form.
+func checkExperiment(name string, csv bool) error {
+	var tabular []string
+	for _, info := range grads.Describe() {
+		if info.Name == name && (info.HasCSV || !csv) {
+			return nil
+		}
+		if info.HasCSV {
+			tabular = append(tabular, info.Name)
+		}
+	}
+	if csv {
+		return fmt.Errorf("no CSV form for %q (have: %s)", name, strings.Join(tabular, ", "))
+	}
+	return fmt.Errorf("unknown experiment %q (have: all, %s)", name, strings.Join(grads.Experiments(), ", "))
 }

@@ -8,28 +8,61 @@ import (
 	"testing"
 )
 
-// TestUnknownExperimentCreatesNoTraceFiles: an unknown -exp fails with a
-// non-zero status before either trace sink is opened, so no file is left
-// behind.
+// TestUnknownExperimentCreatesNoTraceFiles: rejected input — an unknown
+// experiment, a malformed spec, route or heuristic, a -csv target without a
+// CSV form, or a shard count below 1 — fails with a non-zero status before
+// either trace sink is opened, so no file is left behind.
 func TestUnknownExperimentCreatesNoTraceFiles(t *testing.T) {
-	dir := t.TempDir()
+	cases := []struct {
+		name string
+		args []string
+		want string // in stderr
+	}{
+		{"unknown-exp", []string{"-exp", "no-such-experiment"}, "no-such-experiment"},
+		{"bad-faults", []string{"-faults", "bogus@1:x"}, "bogus"},
+		{"bad-zoo", []string{"-zoo", "nosuch"}, "nosuch"},
+		{"bad-route", []string{"-arrivals", "poisson@0-10:rate=0.1", "-route", "nosuch"}, "nosuch"},
+		{"bad-heuristic", []string{"-zoo", "chain", "-heuristic", "nosuch"}, "nosuch"},
+		{"bad-jobs", []string{"-jobs", "qr"}, "qr"},
+		{"csv-all", []string{"-exp", "all", "-csv"}, "no CSV form"},
+		{"csv-untabular", []string{"-exp", "fig3", "-csv"}, "no CSV form"},
+		{"shards-zero", []string{"-shards", "0"}, "-shards 0"},
+		{"shards-negative", []string{"-exp", "scale-smoke", "-shards", "-3"}, "-shards -3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var stdout, stderr bytes.Buffer
+			args := append(tc.args,
+				"-trace", filepath.Join(dir, "out.json"),
+				"-trace-jsonl", filepath.Join(dir, "out.jsonl"))
+			if code := run(args, &stdout, &stderr); code == 0 {
+				t.Fatal("rejected input exited 0")
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("stderr %q does not contain %q", stderr.String(), tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("rejected input wrote stdout %q", stdout.String())
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				t.Errorf("left behind %s", e.Name())
+			}
+		})
+	}
+}
+
+// TestCSVPrintsTable: -csv prints the report's table, header first.
+func TestCSVPrintsTable(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-exp", "no-such-experiment",
-		"-trace", filepath.Join(dir, "out.json"),
-		"-trace-jsonl", filepath.Join(dir, "out.jsonl"),
-	}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("unknown experiment exited 0")
+	if code := run([]string{"-exp", "fig4", "-csv"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "no-such-experiment") {
-		t.Fatalf("stderr %q does not name the experiment", stderr.String())
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("left behind %s", e.Name())
+	if !strings.HasPrefix(stdout.String(), "iteration,t_with_swap_s,t_no_swap_s\n") {
+		t.Fatalf("fig4 CSV starts %.60q", stdout.String())
 	}
 }

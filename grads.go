@@ -10,8 +10,8 @@
 // The implementation lives under internal/; this package provides the
 // top-level entry points used by cmd/gradsim and the benchmarks:
 //
-//	out, err := grads.RunExperiment("fig3")   // regenerate Figure 3
-//	fmt.Print(out)
+//	rep, err := grads.RunExperiment(grads.Options{}, "fig3") // regenerate Figure 3
+//	fmt.Print(rep.Text)
 //
 // See DESIGN.md for the full system inventory and the per-experiment index,
 // and EXPERIMENTS.md for paper-versus-measured results.
@@ -24,61 +24,42 @@ import (
 
 	"grads/internal/apps"
 	"grads/internal/chaossoak"
+	"grads/internal/core"
 	"grads/internal/experiments"
 	"grads/internal/faultinject"
 	"grads/internal/metasched"
-	"grads/internal/telemetry"
 )
 
 // Version identifies the reproduction release.
 const Version = "1.0.0"
 
-// SetTelemetry installs an observability hub that every experiment run
-// after this call publishes into: kernel, CPU-model, network-model,
-// scheduler, rescheduler, contract-monitor, checkpoint and swap events,
-// plus per-component metrics. Pass nil to disable (the default). The same
-// seeded experiment emits a byte-identical JSONL stream on every run; see
-// TestDeterminism.
-func SetTelemetry(tel *telemetry.Telemetry) { experiments.SetTelemetry(tel) }
+// Options is the run configuration every entry point takes explicitly:
+// a seed override, a telemetry hub, the reference network solver and the
+// shard-kernel count (the gradsim -seed, -trace/-trace-jsonl/-metrics,
+// -netsim-reference and -shards flags). The zero value is the published
+// configuration. Nothing is held between calls, so concurrent runs with
+// different Options do not interfere.
+type Options = experiments.Options
 
-// seedOverride, when non-zero, replaces the default RNG seed of every
-// seeded experiment (the gradsim -seed flag).
-var seedOverride int64
+// Table is the tabular form of a report.
+type Table = experiments.Table
 
-// SetSeed overrides the default seed of every seeded experiment run after
-// this call. Zero restores the per-experiment defaults.
-func SetSeed(seed int64) { seedOverride = seed }
-
-// SetReferenceSolver makes every experiment run after this call use the
-// reference (global progressive-filling) network solver instead of the
-// incremental one (the gradsim -netsim-reference flag). Both solvers produce
-// byte-identical telemetry traces; the knob exists so that equivalence can be
-// verified on the published experiments.
-func SetReferenceSolver(on bool) { experiments.SetReferenceSolver(on) }
-
-// SetShards selects how many shard kernels the sharded experiments (scale,
-// scale-smoke) run with (the gradsim -shards flag). 1 — the default — is the
-// single-kernel determinism oracle; any N produces byte-identical traces
-// (see internal/shardsim and the "Sharded emulation" README section).
-func SetShards(n int) { experiments.SetShards(n) }
-
-// seedOr resolves an experiment's seed: the global override when set, else
-// the experiment's default.
-func seedOr(def int64) int64 {
-	if seedOverride != 0 {
-		return seedOverride
-	}
-	return def
+// Report is one experiment run: the formatted text and, for the tabular
+// experiments, the table behind it in raw values (gradsim -csv prints
+// Table.CSV()).
+type Report struct {
+	Text  string
+	Table *Table
 }
 
 // experiment is one registry entry: a one-line title (for -list and usage),
-// the report driver, and an optional CSV driver. skipAll excludes an entry
-// from RunAll — used by the wall-clock scale experiment, whose timings would
-// break the byte-identical `-exp all` determinism contract.
+// the driver, and whether its Report carries a Table. skipAll excludes an
+// entry from RunAll — used by the wall-clock scale experiment, whose timings
+// would break the byte-identical `-exp all` determinism contract.
 type experiment struct {
 	title   string
-	run     func() (string, error)
-	csv     func() (string, error)
+	run     func(Options) (Report, error)
+	csv     bool
 	skipAll bool
 }
 
@@ -106,271 +87,158 @@ func Describe() []Info {
 	out := make([]Info, 0, len(registry))
 	for _, name := range Experiments() {
 		e := registry[name]
-		out = append(out, Info{Name: name, Title: e.title, HasCSV: e.csv != nil})
+		out = append(out, Info{Name: name, Title: e.title, HasCSV: e.csv})
 	}
 	return out
 }
 
+// entry builds a registry entry from a driver and its renderers: the report
+// text is header + text(res), and when table is non-nil the entry has a CSV
+// form, table(res), from the same run.
+func entry[T any](title string, run func(Options) (T, error), header string, text func(T) string, table func(T) *Table) experiment {
+	return experiment{title: title, csv: table != nil, run: func(o Options) (Report, error) {
+		res, err := run(o)
+		if err != nil {
+			return Report{}, err
+		}
+		rep := Report{Text: header + text(res)}
+		if table != nil {
+			rep.Table = table(res)
+		}
+		return rep, nil
+	}}
+}
+
+// wallClock marks an entry whose output depends on host timing, so RunAll
+// leaves it out.
+func (e experiment) wallClock() experiment {
+	e.skipAll = true
+	return e
+}
+
+// verbatim is the text renderer of drivers that format their own report.
+func verbatim(s string) string { return s }
+
+// runFig3 drives both Figure 3 entries.
+func runFig3(o Options) ([]experiments.Fig3Row, error) {
+	return experiments.RunFig3(o, experiments.DefaultFig3Config())
+}
+
 // registry maps experiment names to their titles and drivers.
 var registry = map[string]experiment{
-	"fig3": {
-		title: "Figure 3 — QR stop/restart phase breakdown per matrix size",
-		run: func() (string, error) {
-			rows, err := experiments.RunFig3(experiments.DefaultFig3Config())
-			if err != nil {
-				return "", err
-			}
-			return "Figure 3 — QR stop/restart, phase breakdown per matrix size\n" +
-				"(left bar = no rescheduling, right bar = rescheduling)\n\n" +
-				experiments.FormatFig3(rows), nil
+	"fig3": entry("Figure 3 — QR stop/restart phase breakdown per matrix size", runFig3,
+		"Figure 3 — QR stop/restart, phase breakdown per matrix size\n"+
+			"(left bar = no rescheduling, right bar = rescheduling)\n\n",
+		experiments.FormatFig3, nil),
+	"fig3-decisions": entry("§4.1.2 — rescheduler decisions vs ground truth per matrix size", runFig3,
+		"§4.1.2 — rescheduler decisions vs ground truth per matrix size\n\n",
+		experiments.FormatFig3Decisions, experiments.Fig3DecisionsTable),
+	"fig4": entry("Figure 4 — N-body progress under process swapping (MicroGrid)",
+		func(o Options) (*experiments.Fig4Result, error) {
+			return experiments.RunFig4(o, experiments.DefaultFig4Config())
 		},
-	},
-	"fig3-decisions": {
-		title: "§4.1.2 — rescheduler decisions vs ground truth per matrix size",
-		run: func() (string, error) {
-			rows, err := experiments.RunFig3(experiments.DefaultFig3Config())
-			if err != nil {
-				return "", err
-			}
-			return "§4.1.2 — rescheduler decisions vs ground truth per matrix size\n\n" +
-				experiments.FormatFig3Decisions(rows), nil
-		},
-		csv: func() (string, error) {
-			rows, err := experiments.RunFig3(experiments.DefaultFig3Config())
-			if err != nil {
-				return "", err
-			}
-			t := &experiments.Table{Header: []string{"n", "stay_s", "migrate_s", "helps", "worstcase_migrates", "honest_migrates", "est_cost_s", "actual_cost_s"}}
-			for _, r := range rows {
-				t.Add(fmt.Sprint(r.N), fmt.Sprint(r.StayTotal), fmt.Sprint(r.MigrateTotal),
-					fmt.Sprint(r.MigrationHelps), fmt.Sprint(r.WorstCaseDecision),
-					fmt.Sprint(r.HonestDecision), fmt.Sprint(r.HonestCost), fmt.Sprint(r.ActualCost))
-			}
-			return t.CSV(), nil
-		},
-	},
-	"fig4": {
-		title: "Figure 4 — N-body progress under process swapping (MicroGrid)",
-		run: func() (string, error) {
-			r, err := experiments.RunFig4(experiments.DefaultFig4Config())
-			if err != nil {
-				return "", err
-			}
-			return "Figure 4 — N-body progress under process swapping (MicroGrid)\n\n" +
-				experiments.FormatFig4(r, 20), nil
-		},
-		csv: func() (string, error) {
-			r, err := experiments.RunFig4(experiments.DefaultFig4Config())
-			if err != nil {
-				return "", err
-			}
-			base := map[int]float64{}
-			for _, m := range r.Baseline {
-				base[m.Iter] = m.Time
-			}
-			t := &experiments.Table{Header: []string{"iteration", "t_with_swap_s", "t_no_swap_s"}}
-			for _, m := range r.Progress {
-				t.Add(fmt.Sprint(m.Iter), fmt.Sprint(m.Time), fmt.Sprint(base[m.Iter]))
-			}
-			return t.CSV(), nil
-		},
-	},
-	"eman": {
-		title: "§3.3 — EMAN refinement workflow on the heterogeneous MacroGrid",
-		run: func() (string, error) {
+		"Figure 4 — N-body progress under process swapping (MicroGrid)\n\n",
+		func(r *experiments.Fig4Result) string { return experiments.FormatFig4(r, 20) },
+		experiments.Fig4Table),
+	"eman": entry("§3.3 — EMAN refinement workflow on the heterogeneous MacroGrid",
+		func(o Options) ([]experiments.EMANResult, error) {
 			cfg := experiments.DefaultEMANConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunEMAN(cfg)
-			if err != nil {
-				return "", err
-			}
-			return "§3.3 — EMAN refinement workflow on the heterogeneous MacroGrid\n\n" +
-				experiments.FormatEMAN(res), nil
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			return experiments.RunEMAN(o, cfg)
 		},
-	},
-	"eman-dag": {
-		title: "Figure 2 — EMAN refinement workflow structure",
-		run: func() (string, error) {
+		"§3.3 — EMAN refinement workflow on the heterogeneous MacroGrid\n\n",
+		experiments.FormatEMAN, nil),
+	"eman-dag": entry("Figure 2 — EMAN refinement workflow structure",
+		func(Options) (*core.Workflow, error) {
 			cfg := experiments.DefaultEMANConfig()
-			wf, err := apps.EMANWorkflow(cfg.Particles, cfg.Width)
-			if err != nil {
-				return "", err
-			}
-			return "Figure 2 — EMAN refinement workflow (expanded " +
-				fmt.Sprintf("%d-way)\n\n", cfg.Width) +
-				experiments.FormatEMANDag(wf.Expand()), nil
+			return apps.EMANWorkflow(cfg.Particles, cfg.Width)
 		},
-	},
+		fmt.Sprintf("Figure 2 — EMAN refinement workflow (expanded %d-way)\n\n", experiments.DefaultEMANConfig().Width),
+		func(wf *core.Workflow) string { return experiments.FormatEMANDag(wf.Expand()) }, nil),
 	"heuristics": {
 		title: "§3.1 ablation — mapping heuristics on random workflows",
-		run: func() (string, error) {
+		run: func(o Options) (Report, error) {
 			cfg := experiments.DefaultHeurConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunHeuristics(cfg)
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			res, err := experiments.RunHeuristics(o, cfg)
 			if err != nil {
-				return "", err
+				return Report{}, err
 			}
-			w, err := experiments.RunRankWeights(cfg, nil)
+			w, err := experiments.RunRankWeights(o, cfg, nil)
 			if err != nil {
-				return "", err
+				return Report{}, err
 			}
-			return "§3.1 ablation — mapping heuristics on random workflows\n\n" +
+			return Report{Text: "§3.1 ablation — mapping heuristics on random workflows\n\n" +
 				experiments.FormatHeuristics(res) + "\nrank-weight sweep (w2 = data-cost weight):\n\n" +
-				experiments.FormatRankWeights(w), nil
+				experiments.FormatRankWeights(w)}, nil
 		},
 	},
-	"dagzoo": {
-		title: "extension — DAG-zoo leaderboard: list heuristics (HEFT/CPOP/sufferage-list/min-min) x rescheduling policy",
-		run: func() (string, error) {
+	"dagzoo": entry("extension — DAG-zoo leaderboard: list heuristics (HEFT/CPOP/sufferage-list/min-min) x rescheduling policy",
+		func(o Options) ([]experiments.DagZooClass, error) {
 			cfg := experiments.DefaultDagZooConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			classes, err := experiments.RunDagZoo(cfg)
-			if err != nil {
-				return "", err
-			}
-			return "extension — DAG-zoo leaderboard: list-scheduling heuristics x\n" +
-				"rescheduling policy on the MacroGrid (every schedule passes the\n" +
-				"listsched validity harness; static = ride out a mid-run slowdown,\n" +
-				"remap = re-plan unstarted tasks around it)\n\n" +
-				experiments.FormatDagZoo(classes), nil
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			return experiments.RunDagZoo(o, cfg)
 		},
-		csv: func() (string, error) {
-			cfg := experiments.DefaultDagZooConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			classes, err := experiments.RunDagZoo(cfg)
-			if err != nil {
-				return "", err
-			}
-			return experiments.DagZooTable(classes).CSV(), nil
+		"extension — DAG-zoo leaderboard: list-scheduling heuristics x\n"+
+			"rescheduling policy on the MacroGrid (every schedule passes the\n"+
+			"listsched validity harness; static = ride out a mid-run slowdown,\n"+
+			"remap = re-plan unstarted tasks around it)\n\n",
+		experiments.FormatDagZoo, experiments.DagZooTable),
+	"dagzoo-smoke": entry("CI — compressed multi-seed dagzoo leaderboard (fails on any validity violation)",
+		experiments.RunDagZooSmoke, "", verbatim, nil),
+	"swap-policies": entry("§4.2 ablation — swapping policies on the Figure 4 scenario",
+		func(o Options) ([]experiments.SwapPolicyResult, error) {
+			return experiments.RunSwapPolicies(o, experiments.DefaultFig4Config())
 		},
-	},
-	"dagzoo-smoke": {
-		title: "CI — compressed multi-seed dagzoo leaderboard (fails on any validity violation)",
-		run: func() (string, error) {
-			seeds := []int64{1, 2}
-			if s := seedOr(0); s != 0 {
-				seeds = []int64{s}
-			}
-			return experiments.RunDagZooSmoke(seeds)
+		"§4.2 ablation — swapping policies on the Figure 4 scenario\n\n",
+		experiments.FormatSwapPolicies, nil),
+	"opportunistic": entry("§4.1.1 — opportunistic rescheduling onto freed resources",
+		func(o Options) (*experiments.OpportunisticResult, error) {
+			return experiments.RunOpportunistic(o, experiments.DefaultOpportunisticConfig())
 		},
-	},
-	"swap-policies": {
-		title: "§4.2 ablation — swapping policies on the Figure 4 scenario",
-		run: func() (string, error) {
-			res, err := experiments.RunSwapPolicies(experiments.DefaultFig4Config())
-			if err != nil {
-				return "", err
-			}
-			return "§4.2 ablation — swapping policies on the Figure 4 scenario\n\n" +
-				experiments.FormatSwapPolicies(res), nil
+		"§4.1.1 — opportunistic rescheduling onto freed resources\n\n",
+		experiments.FormatOpportunistic, nil),
+	"fault": entry("extension — fault tolerance: crash recovery from SRS checkpoints",
+		func(o Options) ([]experiments.FaultResult, error) {
+			return experiments.RunFault(o, experiments.DefaultFaultConfig())
 		},
-	},
-	"opportunistic": {
-		title: "§4.1.1 — opportunistic rescheduling onto freed resources",
-		run: func() (string, error) {
-			r, err := experiments.RunOpportunistic(experiments.DefaultOpportunisticConfig())
-			if err != nil {
-				return "", err
-			}
-			return "§4.1.1 — opportunistic rescheduling onto freed resources\n\n" +
-				experiments.FormatOpportunistic(r), nil
-		},
-	},
-	"fault": {
-		title: "extension — fault tolerance: crash recovery from SRS checkpoints",
-		run: func() (string, error) {
-			res, err := experiments.RunFault(experiments.DefaultFaultConfig())
-			if err != nil {
-				return "", err
-			}
-			return "extension (paper conclusion) — fault tolerance: node crash +\n" +
-				"recovery from periodic SRS checkpoints\n\n" +
-				experiments.FormatFault(res), nil
-		},
-		csv: func() (string, error) {
-			res, err := experiments.RunFault(experiments.DefaultFaultConfig())
-			if err != nil {
-				return "", err
-			}
-			t := &experiments.Table{Header: []string{"interval_panels", "total_s", "lost_work_s", "ckpt_write_s", "restore_s", "recoveries"}}
-			for _, r := range res {
-				t.Add(fmt.Sprint(r.Interval), fmt.Sprint(r.Total), fmt.Sprint(r.LostWork),
-					fmt.Sprint(r.CkptWrite), fmt.Sprint(r.CkptRead), fmt.Sprint(r.Recoveries))
-			}
-			return t.CSV(), nil
-		},
-	},
-	"chaos": {
-		title: "extension — chaos study: completion and recovery vs node MTBF",
-		run: func() (string, error) {
+		"extension (paper conclusion) — fault tolerance: node crash +\n"+
+			"recovery from periodic SRS checkpoints\n\n",
+		experiments.FormatFault, experiments.FaultTable),
+	"chaos": entry("extension — chaos study: completion and recovery vs node MTBF",
+		func(o Options) ([]experiments.ChaosResult, error) {
 			cfg := experiments.DefaultChaosConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunChaos(cfg)
-			if err != nil {
-				return "", err
-			}
-			return "extension — chaos study: QR and EMAN under seeded node crashes,\n" +
-				"completion time and recovery count vs node MTBF\n\n" +
-				experiments.FormatChaos(res), nil
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			return experiments.RunChaos(o, cfg)
 		},
-		csv: func() (string, error) {
-			cfg := experiments.DefaultChaosConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunChaos(cfg)
-			if err != nil {
-				return "", err
-			}
-			t := &experiments.Table{Header: []string{"workload", "mtbf_s", "completed", "total_s", "recoveries", "faults_injected", "faults_recovered", "detector_suspects", "service_retries"}}
-			for _, r := range res {
-				t.Add(r.Workload, fmt.Sprint(r.MTBF), fmt.Sprint(r.Completed), fmt.Sprint(r.Total),
-					fmt.Sprint(r.Recoveries), fmt.Sprint(r.Injected), fmt.Sprint(r.Recovered),
-					fmt.Sprint(r.Suspects), fmt.Sprint(r.Retries))
-			}
-			return t.CSV(), nil
-		},
-	},
+		"extension — chaos study: QR and EMAN under seeded node crashes,\n"+
+			"completion time and recovery count vs node MTBF\n\n",
+		experiments.FormatChaos, experiments.ChaosTable),
 	"soak": {
 		title: "extension — chaos soak: invariant harness under a randomized mixed fault schedule",
-		run: func() (string, error) {
+		csv:   true,
+		run: func(o Options) (Report, error) {
 			cfg := experiments.DefaultSoakConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			r, err := experiments.RunSoak(cfg)
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			r, err := experiments.RunSoak(o, cfg)
 			if err != nil {
-				return "", err
+				return Report{}, err
 			}
-			report := "extension — chaos soak: metascheduler + recovery control plane under\n" +
+			text := "extension — chaos soak: metascheduler + recovery control plane under\n" +
 				"randomized crashes, storms, partitions, outages and checkpoint corruption\n\n" +
 				experiments.FormatSoak(r)
 			if fail := experiments.SoakFailure([]*chaossoak.Result{r}); fail != "" {
-				return "", fmt.Errorf("soak failed: %s\n\n%s", fail, report)
+				return Report{}, fmt.Errorf("soak failed: %s\n\n%s", fail, text)
 			}
-			return report, nil
-		},
-		csv: func() (string, error) {
-			cfg := experiments.DefaultSoakConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			r, err := experiments.RunSoak(cfg)
-			if err != nil {
-				return "", err
-			}
-			t := &experiments.Table{Header: []string{"class", "jobs", "done", "failed", "quarantined", "mean_turnaround_s", "mean_requeues"}}
-			for _, c := range r.PerClass {
-				t.Add(c.Class, fmt.Sprint(c.Jobs), fmt.Sprint(c.Done), fmt.Sprint(c.Failed),
-					fmt.Sprint(c.Quarantined), fmt.Sprint(c.MeanTurnaround), fmt.Sprintf("%.2f", c.MeanRequeues))
-			}
-			return t.CSV(), nil
+			return Report{Text: text, Table: experiments.SoakTable(r)}, nil
 		},
 	},
 	"soak-smoke": {
 		title: "CI — compressed multi-seed chaos soak (fails on any invariant violation)",
-		run: func() (string, error) {
-			seeds := []int64{1, 2, 3}
-			if s := seedOr(0); s != 0 {
-				seeds = []int64{s}
-			}
-			results, err := experiments.RunSoakSmoke(seeds)
+		run: func(o Options) (Report, error) {
+			results, err := experiments.RunSoakSmoke(o)
 			if err != nil {
-				return "", err
+				return Report{}, err
 			}
 			var b strings.Builder
 			b.WriteString("CI — compressed chaos soak, one run per seed\n")
@@ -379,145 +247,80 @@ var registry = map[string]experiment{
 				b.WriteString(experiments.FormatSoak(r))
 			}
 			if fail := experiments.SoakFailure(results); fail != "" {
-				return "", fmt.Errorf("soak smoke failed: %s\n\n%s", fail, b.String())
+				return Report{}, fmt.Errorf("soak smoke failed: %s\n\n%s", fail, b.String())
 			}
-			return b.String(), nil
+			return Report{Text: b.String()}, nil
 		},
 	},
-	"validation": {
-		title: "§1/§4.2 — MicroGrid-vs-MacroGrid cross-validation of the swap scenario",
-		run: func() (string, error) {
-			r, err := experiments.RunValidation(experiments.DefaultFig4Config())
-			if err != nil {
-				return "", err
-			}
-			return "§1/§4.2 — MicroGrid-vs-MacroGrid cross-validation of the swap scenario\n\n" +
-				experiments.FormatValidation(r), nil
+	"validation": entry("§1/§4.2 — MicroGrid-vs-MacroGrid cross-validation of the swap scenario",
+		func(o Options) (*experiments.ValidationResult, error) {
+			return experiments.RunValidation(o, experiments.DefaultFig4Config())
 		},
-	},
-	"weather": {
-		title: "ablation — NWS forecasts vs mid-spike samples for migration decisions",
-		run: func() (string, error) {
+		"§1/§4.2 — MicroGrid-vs-MacroGrid cross-validation of the swap scenario\n\n",
+		experiments.FormatValidation, nil),
+	"weather": entry("ablation — NWS forecasts vs mid-spike samples for migration decisions",
+		func(o Options) ([]experiments.WeatherResult, error) {
 			cfg := experiments.DefaultWeatherConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunWeather(cfg)
-			if err != nil {
-				return "", err
-			}
-			return "ablation — why migration decisions use NWS forecasts: bursty WAN\n" +
-				"cross traffic, decisions sampled mid-spike vs a time-averaged oracle\n\n" +
-				experiments.FormatWeather(res), nil
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			return experiments.RunWeather(o, cfg)
 		},
-	},
-	"economy": {
-		title: "extension — Grid economies: commodities market vs auctions",
-		run: func() (string, error) {
+		"ablation — why migration decisions use NWS forecasts: bursty WAN\n"+
+			"cross traffic, decisions sampled mid-spike vs a time-averaged oracle\n\n",
+		experiments.FormatWeather, nil),
+	"economy": entry("extension — Grid economies: commodities market vs auctions",
+		func(o Options) ([]experiments.EconomyResult, error) {
 			cfg := experiments.DefaultEconomyConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunEconomy(cfg)
-			if err != nil {
-				return "", err
-			}
-			return "extension (paper conclusion, cites G-commerce [24]) — Grid economies:\n" +
-				"commodities market vs auctions under fluctuating demand\n\n" +
-				experiments.FormatEconomy(res), nil
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			return experiments.RunEconomy(cfg)
 		},
-	},
-	"scale": {
-		title:   "extension — sharded-kernel scaling curve on the 10k-node synthetic grid (wall-clock; excluded from 'all')",
-		skipAll: true,
-		run: func() (string, error) {
-			vs, err := experiments.RunScaleCurve(seedOr(1))
-			if err != nil {
-				return "", err
-			}
-			return "extension — sharded multi-site kernel: scaling curve on the 10k-node\n" +
-				"synthetic grid (single kernel vs conservatively synchronized shards)\n\n" +
-				experiments.FormatScale(vs), nil
-		},
-	},
-	"scale-smoke": {
-		title: "CI — shard-equivalence smoke: seeded chaos/contention/soak traces under -shards N",
-		run: func() (string, error) {
-			out, err := experiments.RunScaleSmoke(seedOr(0))
-			if err != nil {
-				return "", err
-			}
-			return "CI — shard-equivalence smoke: every line below (and the replayed\n" +
-				"-trace-jsonl stream) is byte-identical for any -shards N\n\n" + out, nil
-		},
-	},
-	"serve": {
-		title: "extension — serving: front-door request stream over the broker fleet, rate x routing-policy sweep",
-		run: func() (string, error) {
+		"extension (paper conclusion, cites G-commerce [24]) — Grid economies:\n"+
+			"commodities market vs auctions under fluctuating demand\n\n",
+		experiments.FormatEconomy, nil),
+	"scale": entry("extension — sharded-kernel scaling curve on the 10k-node synthetic grid (wall-clock; excluded from 'all')",
+		func(o Options) ([]experiments.ScaleVariant, error) { return experiments.RunScaleCurve(o.SeedOr(1)) },
+		"extension — sharded multi-site kernel: scaling curve on the 10k-node\n"+
+			"synthetic grid (single kernel vs conservatively synchronized shards)\n\n",
+		experiments.FormatScale, nil).wallClock(),
+	"scale-smoke": entry("CI — shard-equivalence smoke: seeded chaos/contention/soak traces under -shards N",
+		experiments.RunScaleSmoke,
+		"CI — shard-equivalence smoke: every line below (and the replayed\n"+
+			"-trace-jsonl stream) is byte-identical for any -shards N\n\n",
+		verbatim, nil),
+	"serve": entry("extension — serving: front-door request stream over the broker fleet, rate x routing-policy sweep",
+		func(o Options) ([]experiments.ServeResult, error) {
 			cfg := experiments.DefaultServeConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunServe(cfg)
-			if err != nil {
-				return "", err
-			}
-			return "extension — serving: an open-loop request stream through the front\n" +
-				"door (QoS classes int/batch/bulk) onto a lopsided 8/4/2-node broker\n" +
-				"fleet, swept over arrival rate x routing policy\n\n" +
-				experiments.FormatServe(res), nil
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			return experiments.RunServe(o, cfg)
 		},
-		csv: func() (string, error) {
-			cfg := experiments.DefaultServeConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunServe(cfg)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ServeClassTable(res).CSV(), nil
-		},
-	},
-	"serve-smoke": {
-		title: "CI — compressed multi-seed serving cell (fails on any conservation violation)",
-		run: func() (string, error) {
-			seeds := []int64{1, 2, 3}
-			if s := seedOr(0); s != 0 {
-				seeds = []int64{s}
-			}
-			return experiments.RunServeSmoke(seeds)
-		},
-	},
-	"contention": {
-		title: "extension — metascheduler: contention-aware multi-application stream",
-		run: func() (string, error) {
+		"extension — serving: an open-loop request stream through the front\n"+
+			"door (QoS classes int/batch/bulk) onto a lopsided 8/4/2-node broker\n"+
+			"fleet, swept over arrival rate x routing policy\n\n",
+		experiments.FormatServe, experiments.ServeClassTable),
+	"serve-smoke": entry("CI — compressed multi-seed serving cell (fails on any conservation violation)",
+		experiments.RunServeSmoke, "", verbatim, nil),
+	"contention": entry("extension — metascheduler: contention-aware multi-application stream",
+		func(o Options) ([]experiments.ContentionResult, error) {
 			cfg := experiments.DefaultContentionConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunContention(cfg)
-			if err != nil {
-				return "", err
-			}
-			return "extension — metascheduler: a contended multi-application job stream\n" +
-				"(QR + task farms) under admission control, leases and preemptive\n" +
-				"rescheduling, swept over arrival rate x queue policy\n\n" +
-				experiments.FormatContention(res), nil
+			cfg.Seed = o.SeedOr(cfg.Seed)
+			return experiments.RunContention(o, cfg)
 		},
-		csv: func() (string, error) {
-			cfg := experiments.DefaultContentionConfig()
-			cfg.Seed = seedOr(cfg.Seed)
-			res, err := experiments.RunContention(cfg)
-			if err != nil {
-				return "", err
-			}
-			return experiments.ContentionTable(res).CSV(), nil
-		},
-	},
+		"extension — metascheduler: a contended multi-application job stream\n"+
+			"(QR + task farms) under admission control, leases and preemptive\n"+
+			"rescheduling, swept over arrival rate x queue policy\n\n",
+		experiments.FormatContention, experiments.ContentionTable),
 }
 
 // RunFaultSpec runs the QR workload under an explicit fault schedule (the
 // gradsim -faults flag; see faultinject.ParseSpec for the grammar) and
 // returns a report with the executed timeline and the recovery summary.
-func RunFaultSpec(spec string) (string, error) {
+func RunFaultSpec(o Options, spec string) (string, error) {
 	events, err := faultinject.ParseSpec(spec)
 	if err != nil {
 		return "", err
 	}
 	cfg := experiments.DefaultChaosConfig()
-	cfg.Seed = seedOr(cfg.Seed)
-	r, timeline, err := experiments.RunChaosSpec(cfg, events)
+	cfg.Seed = o.SeedOr(cfg.Seed)
+	r, timeline, err := experiments.RunChaosSpec(o, cfg, events)
 	if err != nil {
 		return "", err
 	}
@@ -530,14 +333,14 @@ func RunFaultSpec(spec string) (string, error) {
 // flag; see metasched.ParseStream for the grammar) through the
 // metascheduler broker on the QR testbed and returns the per-job outcome
 // table.
-func RunJobStream(stream string) (string, error) {
+func RunJobStream(o Options, stream string) (string, error) {
 	entries, err := metasched.ParseStream(stream)
 	if err != nil {
 		return "", err
 	}
 	cfg := experiments.DefaultJobStreamConfig(entries)
-	cfg.Seed = seedOr(cfg.Seed)
-	recs, err := experiments.RunJobStream(cfg)
+	cfg.Seed = o.SeedOr(cfg.Seed)
+	recs, err := experiments.RunJobStream(o, cfg)
 	if err != nil {
 		return "", err
 	}
@@ -550,59 +353,42 @@ func RunJobStream(stream string) (string, error) {
 // listsched.ParseZoo for the grammar) with the named list-scheduling
 // heuristic (the -heuristic flag) on the MacroGrid and returns the per-DAG
 // makespan/SLR/utilization report.
-func RunZoo(spec, heuristic string) (string, error) {
-	return experiments.RunZoo(spec, heuristic, seedOr(0))
+func RunZoo(o Options, spec, heuristic string) (string, error) {
+	return experiments.RunZoo(o, spec, heuristic)
 }
 
 // RunArrivals realizes an explicit serving workload (the gradsim -arrivals
 // flag; see frontdoor.ParseArrivals for the grammar) through the front door
 // on the standard fleet, routed by the named policy (the -route flag), and
 // returns the outcome report.
-func RunArrivals(spec, route string) (string, error) {
-	return experiments.RunArrivals(spec, route, seedOr(0))
+func RunArrivals(o Options, spec, route string) (string, error) {
+	return experiments.RunArrivals(o, spec, route)
 }
 
-// RunExperiment regenerates one experiment by name and returns its
-// formatted report.
-func RunExperiment(name string) (string, error) {
+// RunExperiment regenerates one experiment by name.
+func RunExperiment(o Options, name string) (Report, error) {
 	e, ok := registry[name]
 	if !ok {
-		return "", fmt.Errorf("grads: unknown experiment %q (have: %s)",
+		return Report{}, fmt.Errorf("grads: unknown experiment %q (have: %s)",
 			name, strings.Join(Experiments(), ", "))
 	}
-	return e.run()
-}
-
-// RunExperimentCSV regenerates one tabular experiment as CSV. Experiments
-// without a CSV form return an error listing those that have one.
-func RunExperimentCSV(name string) (string, error) {
-	e, ok := registry[name]
-	if !ok || e.csv == nil {
-		var names []string
-		for _, info := range Describe() {
-			if info.HasCSV {
-				names = append(names, info.Name)
-			}
-		}
-		return "", fmt.Errorf("grads: no CSV form for %q (have: %s)", name, strings.Join(names, ", "))
-	}
-	return e.csv()
+	return e.run(o)
 }
 
 // RunAll regenerates every experiment except the wall-clock ones (skipAll),
-// concatenating the reports. Its output is part of the determinism contract:
-// same seeds, same bytes.
-func RunAll() (string, error) {
+// concatenating the reports' text. Its output is part of the determinism
+// contract: same seeds, same bytes.
+func RunAll(o Options) (string, error) {
 	var b strings.Builder
 	for _, name := range Experiments() {
 		if registry[name].skipAll {
 			continue
 		}
-		out, err := RunExperiment(name)
+		rep, err := RunExperiment(o, name)
 		if err != nil {
 			return b.String(), fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Fprintf(&b, "==== %s ====\n\n%s\n", name, out)
+		fmt.Fprintf(&b, "==== %s ====\n\n%s\n", name, rep.Text)
 	}
 	return b.String(), nil
 }

@@ -31,30 +31,30 @@ func TestExperimentsList(t *testing.T) {
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
-	if _, err := RunExperiment("figure-9000"); err == nil {
+	if _, err := RunExperiment(Options{}, "figure-9000"); err == nil {
 		t.Fatal("unknown experiment accepted")
-	}
-	if _, err := RunExperimentCSV("eman-dag"); err == nil {
-		t.Fatal("CSV for a non-tabular experiment accepted")
 	}
 }
 
 func TestRunExperimentProducesReport(t *testing.T) {
-	out, err := RunExperiment("eman-dag")
+	rep, err := RunExperiment(Options{}, "eman-dag")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "classesbymra") {
-		t.Fatalf("eman-dag output missing components:\n%s", out)
+	if !strings.Contains(rep.Text, "classesbymra") {
+		t.Fatalf("eman-dag output missing components:\n%s", rep.Text)
+	}
+	if rep.Table != nil {
+		t.Fatal("non-tabular experiment returned a table")
 	}
 }
 
 func TestRunExperimentCSVWellFormed(t *testing.T) {
-	out, err := RunExperimentCSV("fault")
+	rep, err := RunExperiment(Options{}, "fault")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
+	lines := strings.Split(strings.TrimSpace(rep.Table.CSV()), "\n")
 	if len(lines) < 4 {
 		t.Fatalf("fault CSV has %d lines", len(lines))
 	}
@@ -63,5 +63,28 @@ func TestRunExperimentCSVWellFormed(t *testing.T) {
 		if strings.Count(l, ",") != cols {
 			t.Fatalf("line %d has wrong column count: %q", i, l)
 		}
+	}
+}
+
+// TestCSVMarksMatchReports: the [csv] mark -list prints for an entry agrees
+// with whether that entry's Report carries a Table. The slow entries are
+// left to the CLI runs of CI.
+func TestCSVMarksMatchReports(t *testing.T) {
+	slow := map[string]bool{"dagzoo": true, "dagzoo-smoke": true, "eman": true,
+		"heuristics": true, "scale": true, "soak": true}
+	for _, info := range Describe() {
+		if slow[info.Name] {
+			continue
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			t.Parallel()
+			rep, err := RunExperiment(Options{}, info.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Table != nil; got != info.HasCSV {
+				t.Fatalf("report has table = %v, registry says HasCSV = %v", got, info.HasCSV)
+			}
+		})
 	}
 }

@@ -116,15 +116,15 @@ func nodeNames(g *topology.Grid) []string {
 }
 
 // RunChaos executes the MTBF sweep for both workloads.
-func RunChaos(cfg ChaosConfig) ([]ChaosResult, error) {
+func RunChaos(o Options, cfg ChaosConfig) ([]ChaosResult, error) {
 	var results []ChaosResult
 	for _, mtbf := range cfg.MTBFs {
-		r, err := chaosQR(cfg, mtbf, nil)
+		r, err := chaosQR(o, cfg, mtbf, nil)
 		if err != nil {
 			return nil, fmt.Errorf("chaos qr mtbf=%g: %w", mtbf, err)
 		}
 		results = append(results, *r)
-		e, err := chaosEMAN(cfg, mtbf)
+		e, err := chaosEMAN(o, cfg, mtbf)
 		if err != nil {
 			return nil, fmt.Errorf("chaos eman mtbf=%g: %w", mtbf, err)
 		}
@@ -136,9 +136,9 @@ func RunChaos(cfg ChaosConfig) ([]ChaosResult, error) {
 // RunChaosSpec runs the QR workload under an explicit -faults schedule
 // (instead of a generated one) and returns the single result plus the
 // executed timeline, for the gradsim -faults flag.
-func RunChaosSpec(cfg ChaosConfig, events []faultinject.Event) (*ChaosResult, string, error) {
+func RunChaosSpec(o Options, cfg ChaosConfig, events []faultinject.Event) (*ChaosResult, string, error) {
 	var timeline string
-	r, err := chaosQR(cfg, 0, func(h *chaosHarness) {
+	r, err := chaosQR(o, cfg, 0, func(h *chaosHarness) {
 		h.injector.Load(events)
 		timeline = h.injector.Describe()
 	})
@@ -151,8 +151,8 @@ func RunChaosSpec(cfg ChaosConfig, events []faultinject.Event) (*ChaosResult, st
 
 // chaosQR runs the QR workload under faults. When load is nil the schedule
 // is generated from mtbf/mttr; otherwise load installs the schedule.
-func chaosQR(cfg ChaosConfig, mtbf float64, load func(*chaosHarness)) (*ChaosResult, error) {
-	env := NewEnv(cfg.Seed, topology.QRTestbed, "qr", 10)
+func chaosQR(o Options, cfg ChaosConfig, mtbf float64, load func(*chaosHarness)) (*ChaosResult, error) {
+	env := o.NewEnv(cfg.Seed, topology.QRTestbed, "qr", 10)
 	h := newChaosHarness(env, cfg.Seed, cfg.DetectorPeriod)
 	if load != nil {
 		load(h)
@@ -208,8 +208,8 @@ func chaosQR(cfg ChaosConfig, mtbf float64, load func(*chaosHarness)) (*ChaosRes
 
 // chaosEMAN schedules the EMAN workflow on the MacroGrid, then executes it
 // resiliently under generated node faults.
-func chaosEMAN(cfg ChaosConfig, mtbf float64) (*ChaosResult, error) {
-	env := NewEnv(cfg.Seed, topology.MacroGrid, "eman", 0)
+func chaosEMAN(o Options, cfg ChaosConfig, mtbf float64) (*ChaosResult, error) {
+	env := o.NewEnv(cfg.Seed, topology.MacroGrid, "eman", 0)
 	h := newChaosHarness(env, cfg.Seed, cfg.DetectorPeriod)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h.injector.Load(faultinject.GenerateNodeFaults(rng, nodeNames(env.Grid), mtbf, cfg.MTTR, cfg.Horizon))
@@ -488,6 +488,17 @@ func emitReplace(env *Env, comp, from, to string) {
 			Args: []telemetry.Arg{telemetry.S("from", from), telemetry.S("to", to)},
 		})
 	}
+}
+
+// ChaosTable is the MTBF sweep in raw values, for -csv.
+func ChaosTable(results []ChaosResult) *Table {
+	t := &Table{Header: []string{"workload", "mtbf_s", "completed", "total_s", "recoveries", "faults_injected", "faults_recovered", "detector_suspects", "service_retries"}}
+	for _, r := range results {
+		t.Add(r.Workload, fmt.Sprint(r.MTBF), fmt.Sprint(r.Completed), fmt.Sprint(r.Total),
+			fmt.Sprint(r.Recoveries), fmt.Sprint(r.Injected), fmt.Sprint(r.Recovered),
+			fmt.Sprint(r.Suspects), fmt.Sprint(r.Retries))
+	}
+	return t
 }
 
 // FormatChaos renders the MTBF sweep.

@@ -24,7 +24,7 @@ func TestRunChaosSpecRecoversFromCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, timeline, err := RunChaosSpec(smallChaosConfig(), events)
+	r, timeline, err := RunChaosSpec(Options{}, smallChaosConfig(), events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRunChaosSpecRecoversFromCrash(t *testing.T) {
 func TestChaosDeterministic(t *testing.T) {
 	cfg := smallChaosConfig()
 	run := func() ChaosResult {
-		r, err := chaosQR(cfg, 900, nil)
+		r, err := chaosQR(Options{}, cfg, 900, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestChaosDeterministic(t *testing.T) {
 // generated faults at a hostile MTBF, re-placing crashed components.
 func TestChaosEMANResilientExecution(t *testing.T) {
 	cfg := smallChaosConfig()
-	r, err := chaosEMAN(cfg, 900)
+	r, err := chaosEMAN(Options{}, cfg, 900)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,28 +20,48 @@ import (
 	"grads/internal/topology"
 )
 
-// sharedTel, when set, is attached to every simulation NewEnv creates, so a
-// single CLI invocation collects one telemetry stream across all the
-// experiments it runs.
-var sharedTel *telemetry.Telemetry
+// Options is the run configuration every driver takes explicitly: nothing
+// in this package holds run state between calls, so two runs in one process
+// cannot interfere. The zero value is the published configuration.
+type Options struct {
+	// Seed, when non-zero, replaces the default RNG seed of every seeded
+	// experiment (the gradsim -seed flag).
+	Seed int64
+	// Telemetry, when set, is attached to every simulation the run creates,
+	// so one invocation collects one event stream across all its
+	// experiments.
+	Telemetry *telemetry.Telemetry
+	// ReferenceSolver runs the network on the reference (global
+	// progressive-filling) solver instead of the incremental one. The two
+	// are trace-identical; the knob exists so the equivalence can be shown on
+	// the published experiments.
+	ReferenceSolver bool
+	// Shards is the kernel count of the sharded experiments (scale-smoke).
+	// Zero or 1 is the single-kernel determinism oracle; any N produces
+	// byte-identical traces (see internal/shardsim).
+	Shards int
+}
 
-// SetTelemetry installs (or, with nil, removes) the hub every subsequently
-// created experiment environment publishes into.
-func SetTelemetry(t *telemetry.Telemetry) { sharedTel = t }
+// Seeds resolves a run's seeds: the Seed override alone when set, else the
+// given defaults.
+func (o Options) Seeds(defaults ...int64) []int64 {
+	if o.Seed != 0 {
+		return []int64{o.Seed}
+	}
+	return defaults
+}
 
-// Telemetry returns the installed shared hub, or nil.
-func Telemetry() *telemetry.Telemetry { return sharedTel }
+// SeedOr resolves a single-seed run: the Seed override when set, else def.
+func (o Options) SeedOr(def int64) int64 { return o.Seeds(def)[0] }
 
-// referenceSolver, when set, makes every subsequently created environment run
-// the network on the reference (global progressive-filling) solver instead of
-// the incremental one. The two are trace-identical; the knob exists so the
-// equivalence can be demonstrated on the published experiments.
-var referenceSolver bool
-
-// SetReferenceSolver selects which max-min solver environments created after
-// the call use: the O(component) incremental solver (false, the default) or
-// the reference global solver (true).
-func SetReferenceSolver(on bool) { referenceSolver = on }
+// newSim creates a kernel with the run's telemetry hub attached.
+func (o Options) newSim(seed int64) *simcore.Sim {
+	sim := simcore.New(seed)
+	if o.Telemetry != nil {
+		sim.SetTelemetry(o.Telemetry)
+	}
+	return sim
+}
 
 // Env bundles one fully wired GrADS execution environment on a fresh
 // deterministic simulation.
@@ -60,14 +80,18 @@ type GridBuilder func(*simcore.Sim) *topology.Grid
 
 // NewEnv wires GIS (with the standard software registered everywhere), IBP
 // depots, the binder, the weather service, and an RSS for appName over the
-// given testbed. Seed fixes all randomness.
+// given testbed. Seed fixes all randomness. It is Options{}.NewEnv.
 func NewEnv(seed int64, build GridBuilder, appName string, nwsPeriod float64) *Env {
-	sim := simcore.New(seed)
-	if sharedTel != nil {
-		sim.SetTelemetry(sharedTel)
-	}
+	return Options{}.NewEnv(seed, build, appName, nwsPeriod)
+}
+
+// NewEnv is the package NewEnv under the run's options. The telemetry hub is
+// attached before build runs, because the CPU model registers its counters
+// when the grid is constructed.
+func (o Options) NewEnv(seed int64, build GridBuilder, appName string, nwsPeriod float64) *Env {
+	sim := o.newSim(seed)
 	grid := build(sim)
-	if referenceSolver {
+	if o.ReferenceSolver {
 		grid.Net.SetReferenceSolver(true)
 	}
 	g := gis.New(sim, grid)

@@ -131,8 +131,8 @@ func farmJob(name string, submit float64, tasks, width int, bid float64) metasch
 
 // runContentionCell runs one policy x arrival-rate cell on a fresh
 // environment and reduces the job records to the cell metrics.
-func runContentionCell(cfg ContentionConfig, policy metasched.Policy, interarrival float64) (*ContentionResult, error) {
-	env := NewEnv(cfg.Seed, topology.QRTestbed, "metasched", cfg.NWSPeriod)
+func runContentionCell(o Options, cfg ContentionConfig, policy metasched.Policy, interarrival float64) (*ContentionResult, error) {
+	env := o.NewEnv(cfg.Seed, topology.QRTestbed, "metasched", cfg.NWSPeriod)
 	var sch *metasched.Scheduler
 	mcfg := metasched.Config{
 		Sim: env.Sim, Grid: env.Grid, GIS: env.GIS, Storage: env.Storage,
@@ -194,11 +194,11 @@ func runContentionCell(cfg ContentionConfig, policy metasched.Policy, interarriv
 }
 
 // RunContention sweeps arrival rate x queue policy.
-func RunContention(cfg ContentionConfig) ([]ContentionResult, error) {
+func RunContention(o Options, cfg ContentionConfig) ([]ContentionResult, error) {
 	var out []ContentionResult
 	for _, ia := range cfg.Interarrivals {
 		for _, policy := range cfg.Policies {
-			r, err := runContentionCell(cfg, policy, ia)
+			r, err := runContentionCell(o, cfg, policy, ia)
 			if err != nil {
 				return nil, fmt.Errorf("contention %s/ia=%g: %w", policy, ia, err)
 			}

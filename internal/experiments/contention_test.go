@@ -19,7 +19,7 @@ func smallContentionConfig() ContentionConfig {
 // under every policy with sane metrics, and the urgent latecomer forces at
 // least one SRS preemption under a priority-ordered policy.
 func TestRunContentionSweep(t *testing.T) {
-	res, err := RunContention(smallContentionConfig())
+	res, err := RunContention(Options{}, smallContentionConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunContentionSweep(t *testing.T) {
 func TestContentionDeterministic(t *testing.T) {
 	cfg := smallContentionConfig()
 	run := func() ContentionResult {
-		r, err := runContentionCell(cfg, metasched.PolicyBackfill, 30)
+		r, err := runContentionCell(Options{}, cfg, metasched.PolicyBackfill, 30)
 		if err != nil {
 			t.Fatal(err)
 		}

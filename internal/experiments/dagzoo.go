@@ -71,7 +71,7 @@ func (c *DagZooClass) Mean(heuristic, policy string) (DagZooCell, bool) {
 // RunDagZoo runs the leaderboard. Every schedule produced along the way is
 // passed through the listsched validity harness; a violation fails the
 // experiment rather than silently skewing the table.
-func RunDagZoo(cfg DagZooConfig) ([]DagZooClass, error) {
+func RunDagZoo(o Options, cfg DagZooConfig) ([]DagZooClass, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("dagzoo: %d trials", cfg.Trials)
 	}
@@ -113,7 +113,7 @@ func RunDagZoo(cfg DagZooConfig) ([]DagZooClass, error) {
 
 		for trial := 0; trial < cfg.Trials; trial++ {
 			rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(classIdx)*10_007 + int64(trial)))
-			env := NewEnv(cfg.Seed+int64(trial), topology.MacroGrid, "dagzoo", 0)
+			env := o.NewEnv(cfg.Seed+int64(trial), topology.MacroGrid, "dagzoo", 0)
 			wf, err := z.Build(rng)
 			if err != nil {
 				return nil, fmt.Errorf("dagzoo %s trial %d: %w", cls.Label, trial, err)
@@ -255,10 +255,8 @@ func FormatDagZoo(classes []DagZooClass) string {
 // heuristic (the -heuristic flag) on the MacroGrid and reports per-DAG
 // makespan, schedule length ratio and utilization. Every schedule passes
 // the validity harness first.
-func RunZoo(spec, heuristic string, seed int64) (string, error) {
-	if seed == 0 {
-		seed = 1
-	}
+func RunZoo(o Options, spec, heuristic string) (string, error) {
+	seed := o.SeedOr(1)
 	specs, err := listsched.ParseZoo(spec)
 	if err != nil {
 		return "", err
@@ -267,7 +265,7 @@ func RunZoo(spec, heuristic string, seed int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	env := NewEnv(seed, topology.MacroGrid, "zoo", 0)
+	env := o.NewEnv(seed, topology.MacroGrid, "zoo", 0)
 	s := core.NewScheduler(env.Grid, nil)
 	resources := env.Grid.Nodes()
 	rng := rand.New(rand.NewSource(seed))
@@ -300,17 +298,17 @@ func RunZoo(spec, heuristic string, seed int64) (string, error) {
 
 // RunDagZooSmoke is the CI determinism case: a compressed multi-seed
 // leaderboard whose byte-identical output (and embedded validity checks)
-// gate the determinism matrix.
-func RunDagZooSmoke(seeds []int64) (string, error) {
+// gate the determinism matrix. It runs seeds 1 and 2 unless o.Seed is set.
+func RunDagZooSmoke(o Options) (string, error) {
 	var out string
-	for _, seed := range seeds {
+	for _, seed := range o.Seeds(1, 2) {
 		cfg := DagZooConfig{
 			Seed:       seed,
 			Trials:     2,
 			Zoo:        "chain:n=8,ccr=0.5;fanout:width=8,ccr=2;layered:layers=3,width=5,fanin=2,ccr=2",
 			SlowFactor: 3,
 		}
-		classes, err := RunDagZoo(cfg)
+		classes, err := RunDagZoo(o, cfg)
 		if err != nil {
 			return "", err
 		}

@@ -11,7 +11,7 @@ import (
 // communication-aware HEFT beats the paper's min-min under both policies.
 // Every schedule inside RunDagZoo already passes the validity harness.
 func TestDagZooLeaderboard(t *testing.T) {
-	classes, err := RunDagZoo(DefaultDagZooConfig())
+	classes, err := RunDagZoo(Options{}, DefaultDagZooConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestDagZooLeaderboard(t *testing.T) {
 // TestDagZooSmokeDeterministic: the CI smoke case is byte-identical across
 // runs in one process — the cheap local version of the determinism matrix.
 func TestDagZooSmokeDeterministic(t *testing.T) {
-	a, err := RunDagZooSmoke([]int64{1})
+	a, err := RunDagZooSmoke(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDagZooSmoke([]int64{1})
+	b, err := RunDagZooSmoke(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +72,17 @@ func TestDagZooSmokeDeterministic(t *testing.T) {
 // TestRunZooReport exercises the -zoo CLI path over every class and both an
 // unknown heuristic and a malformed spec error.
 func TestRunZooReport(t *testing.T) {
-	out, err := RunZoo("chain:n=6;fanout:width=6,ccr=2;diamond:width=3,layers=2;layered:layers=3,width=4;eman:n=100,width=4", "cpop", 3)
+	out, err := RunZoo(Options{Seed: 3}, "chain:n=6;fanout:width=6,ccr=2;diamond:width=3,layers=2;layered:layers=3,width=4;eman:n=100,width=4", "cpop")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out == "" {
 		t.Fatal("empty report")
 	}
-	if _, err := RunZoo("chain", "nope", 1); err == nil {
+	if _, err := RunZoo(Options{Seed: 1}, "chain", "nope"); err == nil {
 		t.Fatal("unknown heuristic accepted")
 	}
-	if _, err := RunZoo("ring:n=4", "heft", 1); err == nil {
+	if _, err := RunZoo(Options{Seed: 1}, "ring:n=4", "heft"); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 }

@@ -39,12 +39,12 @@ type EMANResult struct {
 // MacroGrid with each heuristic, the best-of-three selection, and a random
 // baseline, then executes every schedule on the emulator to validate the
 // predicted makespans and the IA-32/IA-64 heterogeneity.
-func RunEMAN(cfg EMANConfig) ([]EMANResult, error) {
+func RunEMAN(o Options, cfg EMANConfig) ([]EMANResult, error) {
 	var results []EMANResult
 	strategies := append([]string{}, core.Heuristics...)
 	strategies = append(strategies, "best-of-3", "random")
 	for _, strat := range strategies {
-		env := NewEnv(cfg.Seed, topology.MacroGrid, "eman", 0)
+		env := o.NewEnv(cfg.Seed, topology.MacroGrid, "eman", 0)
 		wfRun, err := apps.EMANWorkflow(cfg.Particles, cfg.Width)
 		if err != nil {
 			return nil, err

@@ -38,7 +38,7 @@ func TestNewEnvWiring(t *testing.T) {
 func TestFig3Shape(t *testing.T) {
 	cfg := DefaultFig3Config()
 	cfg.Sizes = []int{6000, 8000, 12000}
-	rows, err := RunFig3(cfg)
+	rows, err := RunFig3(Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestFig3Shape(t *testing.T) {
 // competitive load lands at t=80 and recovers after the rescheduler swaps
 // all three working processes to the UIUC cluster.
 func TestFig4Shape(t *testing.T) {
-	r, err := RunFig4(DefaultFig4Config())
+	r, err := RunFig4(Options{}, DefaultFig4Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func progressRate(marks []swap.IterMark, t0, t1 float64) float64 {
 // is no worse than any single heuristic, and the schedule spans both
 // architectures.
 func TestEMANShape(t *testing.T) {
-	res, err := RunEMAN(DefaultEMANConfig())
+	res, err := RunEMAN(Options{}, DefaultEMANConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestEMANShape(t *testing.T) {
 func TestHeuristicsShape(t *testing.T) {
 	cfg := DefaultHeurConfig()
 	cfg.Trials = 6
-	res, err := RunHeuristics(cfg)
+	res, err := RunHeuristics(Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestHeuristicsShape(t *testing.T) {
 	if minHeur >= randomMean {
 		t.Fatalf("heuristics (%v) not better than random (%v)", minHeur, randomMean)
 	}
-	w, err := RunRankWeights(cfg, []float64{0, 1})
+	w, err := RunRankWeights(Options{}, cfg, []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestHeuristicsShape(t *testing.T) {
 }
 
 func TestSwapPoliciesShape(t *testing.T) {
-	res, err := RunSwapPolicies(DefaultFig4Config())
+	res, err := RunSwapPolicies(Options{}, DefaultFig4Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSwapPoliciesShape(t *testing.T) {
 }
 
 func TestOpportunisticShape(t *testing.T) {
-	r, err := RunOpportunistic(DefaultOpportunisticConfig())
+	r, err := RunOpportunistic(Options{}, DefaultOpportunisticConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestOpportunisticShape(t *testing.T) {
 // work and beat scratch restart; checkpoint overhead grows as the interval
 // shrinks.
 func TestFaultToleranceShape(t *testing.T) {
-	res, err := RunFault(DefaultFaultConfig())
+	res, err := RunFault(Options{}, DefaultFaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestFaultToleranceShape(t *testing.T) {
 // emulation reproduces testbed behavior: the MicroGrid and the MacroGrid
 // slice agree on the swap scenario within a few percent.
 func TestValidationShape(t *testing.T) {
-	r, err := RunValidation(DefaultFig4Config())
+	r, err := RunValidation(Options{}, DefaultFig4Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestEconomyShape(t *testing.T) {
 // traffic, long-horizon NWS forecasts dominate instantaneous measurements
 // for migration decisions.
 func TestWeatherShape(t *testing.T) {
-	res, err := RunWeather(DefaultWeatherConfig())
+	res, err := RunWeather(Options{}, DefaultWeatherConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,16 +41,16 @@ type FaultResult struct {
 
 // RunFault executes the crash scenario for every checkpoint interval plus a
 // crash-free baseline.
-func RunFault(cfg FaultConfig) ([]FaultResult, error) {
+func RunFault(o Options, cfg FaultConfig) ([]FaultResult, error) {
 	results := []FaultResult{}
-	baseline, err := faultScenario(cfg, 0, false)
+	baseline, err := faultScenario(o, cfg, 0, false)
 	if err != nil {
 		return nil, fmt.Errorf("fault baseline: %w", err)
 	}
 	baseline.Interval = -1
 	results = append(results, *baseline)
 	for _, interval := range cfg.Intervals {
-		r, err := faultScenario(cfg, interval, true)
+		r, err := faultScenario(o, cfg, interval, true)
 		if err != nil {
 			return nil, fmt.Errorf("fault interval %d: %w", interval, err)
 		}
@@ -59,8 +59,8 @@ func RunFault(cfg FaultConfig) ([]FaultResult, error) {
 	return results, nil
 }
 
-func faultScenario(cfg FaultConfig, interval int, crash bool) (*FaultResult, error) {
-	env := NewEnv(1, topology.QRTestbed, "qr", 0)
+func faultScenario(o Options, cfg FaultConfig, interval int, crash bool) (*FaultResult, error) {
+	env := o.NewEnv(1, topology.QRTestbed, "qr", 0)
 	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, env.Weather, cfg.N, cfg.NB)
 	if err != nil {
 		return nil, err
@@ -100,6 +100,16 @@ func faultScenario(cfg FaultConfig, interval int, crash bool) (*FaultResult, err
 		CkptRead:   rep.Sum(appmgr.PhaseCkptRead, 0),
 		Recoveries: rep.Failures,
 	}, nil
+}
+
+// FaultTable is the study in raw values, for -csv.
+func FaultTable(results []FaultResult) *Table {
+	t := &Table{Header: []string{"interval_panels", "total_s", "lost_work_s", "ckpt_write_s", "restore_s", "recoveries"}}
+	for _, r := range results {
+		t.Add(fmt.Sprint(r.Interval), fmt.Sprint(r.Total), fmt.Sprint(r.LostWork),
+			fmt.Sprint(r.CkptWrite), fmt.Sprint(r.CkptRead), fmt.Sprint(r.Recoveries))
+	}
+	return t
 }
 
 // FormatFault renders the study.

@@ -67,14 +67,14 @@ type Fig3Row struct {
 }
 
 // RunFig3 executes the experiment for every size and returns the rows.
-func RunFig3(cfg Fig3Config) ([]Fig3Row, error) {
+func RunFig3(o Options, cfg Fig3Config) ([]Fig3Row, error) {
 	rows := make([]Fig3Row, 0, len(cfg.Sizes))
 	for _, n := range cfg.Sizes {
-		stay, err := fig3Scenario(n, cfg, rescheduler.ModeForceStay)
+		stay, err := fig3Scenario(o, n, cfg, rescheduler.ModeForceStay)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 N=%d stay: %w", n, err)
 		}
-		migrate, err := fig3Scenario(n, cfg, rescheduler.ModeForceMigrate)
+		migrate, err := fig3Scenario(o, n, cfg, rescheduler.ModeForceMigrate)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 N=%d migrate: %w", n, err)
 		}
@@ -113,8 +113,8 @@ type fig3Run struct {
 // rescheduler mode: schedule on the (initially faster) UTK cluster, inject
 // load, detect the contract violation, decide, and (in migrate mode)
 // checkpoint, move to UIUC and restart.
-func fig3Scenario(n int, cfg Fig3Config, mode rescheduler.Mode) (*fig3Run, error) {
-	env := NewEnv(1, topology.QRTestbed, "qr", 10)
+func fig3Scenario(o Options, n int, cfg Fig3Config, mode rescheduler.Mode) (*fig3Run, error) {
+	env := o.NewEnv(1, topology.QRTestbed, "qr", 10)
 	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, env.Weather, n, cfg.NB)
 	if err != nil {
 		return nil, err
@@ -223,6 +223,17 @@ func FormatFig3(rows []Fig3Row) string {
 		}
 	}
 	return t.String()
+}
+
+// Fig3DecisionsTable is the decision table in raw values, for -csv.
+func Fig3DecisionsTable(rows []Fig3Row) *Table {
+	t := &Table{Header: []string{"n", "stay_s", "migrate_s", "helps", "worstcase_migrates", "honest_migrates", "est_cost_s", "actual_cost_s"}}
+	for _, r := range rows {
+		t.Add(fmt.Sprint(r.N), fmt.Sprint(r.StayTotal), fmt.Sprint(r.MigrateTotal),
+			fmt.Sprint(r.MigrationHelps), fmt.Sprint(r.WorstCaseDecision),
+			fmt.Sprint(r.HonestDecision), fmt.Sprint(r.HonestCost), fmt.Sprint(r.ActualCost))
+	}
+	return t
 }
 
 // FormatFig3Decisions renders the §4.1.2 decision narrative: what the

@@ -69,16 +69,12 @@ func buildFig4Policy(name string, nodes []*topology.Node) (swap.Policy, error) {
 	return nil, fmt.Errorf("fig4: unknown policy %q", name)
 }
 
-// fig4Run executes one N-body run under a policy on the MicroGrid testbed.
-func fig4Run(cfg Fig4Config, policy string) (*swap.Runtime, float64, error) {
-	return fig4RunOn(cfg, policy, topology.MicroGridTestbed)
-}
-
-// fig4RunOn executes the scenario on an arbitrary testbed (the MicroGrid/
-// MacroGrid cross-validation uses this). It returns the swap runtime and
-// the completion time (0 when the horizon was hit first).
-func fig4RunOn(cfg Fig4Config, policy string, build GridBuilder) (*swap.Runtime, float64, error) {
-	env := NewEnv(1, build, "nbody", 0)
+// fig4Run executes one N-body run under a policy on a testbed (the
+// MicroGrid, or the MacroGrid slice for the cross-validation). It returns
+// the swap runtime and the completion time (0 when the horizon was hit
+// first).
+func fig4Run(o Options, cfg Fig4Config, policy string, build GridBuilder) (*swap.Runtime, float64, error) {
+	env := o.NewEnv(1, build, "nbody", 0)
 	var nodes []*topology.Node
 	nodes = append(nodes, env.Grid.Site("UTK").Nodes()...)
 	nodes = append(nodes, env.Grid.Site("UIUC").Nodes()...)
@@ -117,12 +113,12 @@ func fig4RunOn(cfg Fig4Config, policy string, build GridBuilder) (*swap.Runtime,
 
 // RunFig4 executes the demonstration with the configured policy and the
 // no-swap baseline.
-func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
-	rt, done, err := fig4Run(cfg, cfg.Policy)
+func RunFig4(o Options, cfg Fig4Config) (*Fig4Result, error) {
+	rt, done, err := fig4Run(o, cfg, cfg.Policy, topology.MicroGridTestbed)
 	if err != nil {
 		return nil, err
 	}
-	base, baseDone, err := fig4Run(cfg, "none")
+	base, baseDone, err := fig4Run(o, cfg, "none", topology.MicroGridTestbed)
 	if err != nil {
 		return nil, err
 	}
@@ -135,6 +131,20 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 		Completed: done,
 		BaseDone:  baseDone,
 	}, nil
+}
+
+// Fig4Table is the progress series with and without swapping, one row per
+// iteration, for -csv.
+func Fig4Table(r *Fig4Result) *Table {
+	base := map[int]float64{}
+	for _, m := range r.Baseline {
+		base[m.Iter] = m.Time
+	}
+	t := &Table{Header: []string{"iteration", "t_with_swap_s", "t_no_swap_s"}}
+	for _, m := range r.Progress {
+		t.Add(fmt.Sprint(m.Iter), fmt.Sprint(m.Time), fmt.Sprint(base[m.Iter]))
+	}
+	return t
 }
 
 // FormatFig4 renders the progress series (iteration vs time) the way the

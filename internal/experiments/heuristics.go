@@ -34,14 +34,14 @@ type HeurResult struct {
 
 // RunHeuristics generates random layered workflows and schedules each with
 // every heuristic plus a random baseline on the MacroGrid.
-func RunHeuristics(cfg HeurConfig) ([]HeurResult, error) {
+func RunHeuristics(o Options, cfg HeurConfig) ([]HeurResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	strategies := append(append([]string{}, core.Heuristics...), core.MCT, core.OLB, "random")
 	sums := make(map[string]float64, len(strategies))
 	wins := make(map[string]int, len(strategies))
 
 	for trial := 0; trial < cfg.Trials; trial++ {
-		env := NewEnv(cfg.Seed+int64(trial), topology.MacroGrid, "heur", 0)
+		env := o.NewEnv(cfg.Seed+int64(trial), topology.MacroGrid, "heur", 0)
 		wf, err := apps.RandomWorkflow(rng, cfg.Layers, cfg.Width, cfg.Fanin)
 		if err != nil {
 			return nil, err
@@ -99,7 +99,7 @@ type WeightResult struct {
 // RunRankWeights sweeps the data-cost weight w2 (w1 fixed at 1) over random
 // data-heavy workflows, showing when data movement matters to schedule
 // quality.
-func RunRankWeights(cfg HeurConfig, w2s []float64) ([]WeightResult, error) {
+func RunRankWeights(o Options, cfg HeurConfig, w2s []float64) ([]WeightResult, error) {
 	if len(w2s) == 0 {
 		w2s = []float64{0, 0.5, 1, 2, 4}
 	}
@@ -108,7 +108,7 @@ func RunRankWeights(cfg HeurConfig, w2s []float64) ([]WeightResult, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		sum := 0.0
 		for trial := 0; trial < cfg.Trials; trial++ {
-			env := NewEnv(cfg.Seed+int64(trial), topology.MacroGrid, "weights", 0)
+			env := o.NewEnv(cfg.Seed+int64(trial), topology.MacroGrid, "weights", 0)
 			wf, err := apps.RandomWorkflow(rng, cfg.Layers, cfg.Width, cfg.Fanin)
 			if err != nil {
 				return nil, err

@@ -89,8 +89,8 @@ func streamJobSpec(i int, e metasched.StreamEntry) metasched.JobSpec {
 // RunJobStream pushes an explicit submission stream through the
 // metascheduler broker on the QR testbed and returns the per-job outcome
 // records in submission order.
-func RunJobStream(cfg JobStreamConfig) ([]metasched.Record, error) {
-	env := NewEnv(cfg.Seed, topology.QRTestbed, "metasched", cfg.NWSPeriod)
+func RunJobStream(o Options, cfg JobStreamConfig) ([]metasched.Record, error) {
+	env := o.NewEnv(cfg.Seed, topology.QRTestbed, "metasched", cfg.NWSPeriod)
 	var sch *metasched.Scheduler
 	s, err := metasched.New(metasched.Config{
 		Sim: env.Sim, Grid: env.Grid, GIS: env.GIS, Storage: env.Storage,

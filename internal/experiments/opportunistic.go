@@ -37,12 +37,12 @@ type OpportunisticResult struct {
 
 // RunOpportunistic executes the two-job scenario with and without the
 // opportunistic rescheduler.
-func RunOpportunistic(cfg OpportunisticConfig) (*OpportunisticResult, error) {
-	withResched, err := opportunisticScenario(cfg, true)
+func RunOpportunistic(o Options, cfg OpportunisticConfig) (*OpportunisticResult, error) {
+	withResched, err := opportunisticScenario(o, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := opportunisticScenario(cfg, false)
+	baseline, err := opportunisticScenario(o, cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -50,8 +50,8 @@ func RunOpportunistic(cfg OpportunisticConfig) (*OpportunisticResult, error) {
 	return withResched, nil
 }
 
-func opportunisticScenario(cfg OpportunisticConfig, enabled bool) (*OpportunisticResult, error) {
-	env := NewEnv(1, topology.QRTestbed, "multi", 10)
+func opportunisticScenario(o Options, cfg OpportunisticConfig, enabled bool) (*OpportunisticResult, error) {
+	env := o.NewEnv(1, topology.QRTestbed, "multi", 10)
 	utk := env.Grid.Site("UTK").Nodes()
 	uiuc := env.Grid.Site("UIUC").Nodes()
 	out := &OpportunisticResult{}

@@ -9,25 +9,6 @@ import (
 	"grads/internal/shardsim"
 )
 
-// shardsOverride is the kernel count sharded experiments run with (the
-// gradsim -shards flag). 1 — the single-kernel determinism oracle — is the
-// default; any other value selects the conservatively synchronized
-// multi-kernel path, which produces byte-identical traces (see
-// internal/shardsim).
-var shardsOverride = 1
-
-// SetShards selects how many shard kernels the sharded experiments
-// (scale-smoke) run with. Values below 1 reset to the single-kernel oracle.
-func SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	shardsOverride = n
-}
-
-// Shards returns the configured shard-kernel count.
-func Shards() int { return shardsOverride }
-
 // ScaleVariant is one row of the scaling curve: a kernel architecture run
 // over the identical 10k-node workload, with its wall-clock time and its
 // virtual end state (which must match the oracle's exactly on the per-site
@@ -134,23 +115,23 @@ type scaleSmokeCase struct {
 }
 
 // RunScaleSmoke runs the three seeded smoke workloads (chaos, contention,
-// soak) on the sharded kernel at the configured shard count (SetShards /
-// gradsim -shards) and reports their virtual end state plus an FNV-64a hash
-// of the canonical merged trace. Every line is shard-count-invariant: the CI
+// soak) on the sharded kernel at o.Shards kernels (gradsim -shards) and
+// reports their virtual end state plus an FNV-64a hash of the canonical
+// merged trace. Every line is shard-count-invariant: the CI
 // shard-equivalence job diffs the full stdout and the replayed JSONL of
 // `-shards 1` against `-shards 4`. When a telemetry hub is installed the
 // merged traces are replayed into it, so -trace-jsonl captures the exact
 // event stream whose hash is printed.
-func RunScaleSmoke(seed int64) (string, error) {
+func RunScaleSmoke(o Options) (string, error) {
 	cases := []scaleSmokeCase{
-		{"chaos", shardsim.ChaosSmokeConfig(pick(seed, 11))},
-		{"contention", shardsim.ContentionSmokeConfig(pick(seed, 23))},
-		{"soak", shardsim.SoakSmokeConfig(pick(seed, 5))},
+		{"chaos", shardsim.ChaosSmokeConfig(o.SeedOr(11))},
+		{"contention", shardsim.ContentionSmokeConfig(o.SeedOr(23))},
+		{"soak", shardsim.SoakSmokeConfig(o.SeedOr(5))},
 	}
 	t := &Table{Header: []string{"workload", "seed", "vtime_s", "events", "rounds", "delivered",
 		"jobs", "requeues", "acks", "leases", "trace_fnv64a", "trace_bytes"}}
 	for _, c := range cases {
-		c.cfg.Shards = shardsOverride
+		c.cfg.Shards = o.Shards
 		r := shardsim.RunScenario(c.cfg)
 		if len(r.Violations) > 0 {
 			return "", fmt.Errorf("scale-smoke %s: invariants violated: %s",
@@ -165,17 +146,9 @@ func RunScaleSmoke(seed int64) (string, error) {
 			fmt.Sprintf("%d+%d", r.HaloAcked, r.CkptAcked),
 			fmt.Sprintf("%d/%d", r.LeaseGranted, r.LeaseDenied),
 			fmt.Sprintf("%016x", h.Sum64()), fmt.Sprint(len(trace)))
-		if sharedTel != nil {
-			r.ReplayInto(sharedTel)
+		if o.Telemetry != nil {
+			r.ReplayInto(o.Telemetry)
 		}
 	}
 	return t.String(), nil
-}
-
-// pick resolves a smoke case's seed: the override when set, else the default.
-func pick(override, def int64) int64 {
-	if override != 0 {
-		return override
-	}
-	return def
 }

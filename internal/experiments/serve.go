@@ -80,34 +80,16 @@ func serveFleet(sim *simcore.Sim, nodeCounts []int, tick float64) []frontdoor.Br
 }
 
 // runServeCell runs one policy x rate cell on a fresh kernel and fleet.
-func runServeCell(cfg ServeConfig, policyName string, rate float64) (*ServeResult, error) {
+func runServeCell(o Options, cfg ServeConfig, policyName string, rate float64) (*ServeResult, error) {
 	policy, err := frontdoor.ParseRoutePolicy(policyName)
 	if err != nil {
 		return nil, err
 	}
 	phases := []frontdoor.Phase{{Kind: "poisson", Start: 0, End: cfg.Duration, Rate: rate}}
-	reqs, err := frontdoor.Generate(phases, frontdoor.DefaultClasses(), rand.New(rand.NewSource(cfg.Seed)))
+	s, _, err := serveWorkload(o, cfg, phases, policy)
 	if err != nil {
 		return nil, err
 	}
-	sim := simcore.New(cfg.Seed)
-	if sharedTel != nil {
-		sim.SetTelemetry(sharedTel)
-	}
-	fd, err := frontdoor.New(frontdoor.Config{
-		Sim:     sim,
-		Brokers: serveFleet(sim, cfg.NodeCounts, cfg.Tick),
-		Policy:  policy,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := fd.Start(reqs); err != nil {
-		return nil, err
-	}
-	sim.RunUntil(cfg.RunCap)
-	s := fd.Stats()
 	terminal := 0
 	for _, c := range s.Classes {
 		terminal += c.Done + c.Failed
@@ -119,12 +101,37 @@ func runServeCell(cfg ServeConfig, policyName string, rate float64) (*ServeResul
 	return &ServeResult{Policy: policy.Name(), Rate: rate, Stats: s}, nil
 }
 
+// serveWorkload realizes phases as requests and serves them through the
+// front door on a fresh kernel and the standard fleet, routed by policy. It
+// returns the outcome and the number of requests generated.
+func serveWorkload(o Options, cfg ServeConfig, phases []frontdoor.Phase, policy frontdoor.Policy) (frontdoor.Stats, int, error) {
+	reqs, err := frontdoor.Generate(phases, frontdoor.DefaultClasses(), rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return frontdoor.Stats{}, 0, err
+	}
+	sim := o.newSim(cfg.Seed)
+	fd, err := frontdoor.New(frontdoor.Config{
+		Sim:     sim,
+		Brokers: serveFleet(sim, cfg.NodeCounts, cfg.Tick),
+		Policy:  policy,
+		Seed:    cfg.Seed,
+	})
+	if err != nil {
+		return frontdoor.Stats{}, 0, err
+	}
+	if err := fd.Start(reqs); err != nil {
+		return frontdoor.Stats{}, 0, err
+	}
+	sim.RunUntil(cfg.RunCap)
+	return fd.Stats(), len(reqs), nil
+}
+
 // RunServe sweeps arrival rate x routing policy.
-func RunServe(cfg ServeConfig) ([]ServeResult, error) {
+func RunServe(o Options, cfg ServeConfig) ([]ServeResult, error) {
 	var out []ServeResult
 	for _, rate := range cfg.Rates {
 		for _, policyName := range cfg.Policies {
-			r, err := runServeCell(cfg, policyName, rate)
+			r, err := runServeCell(o, cfg, policyName, rate)
 			if err != nil {
 				return nil, fmt.Errorf("serve %s/rate=%g: %w", policyName, rate, err)
 			}
@@ -223,17 +230,17 @@ func FormatServe(res []ServeResult) string {
 // RunServeSmoke runs one compressed high-contention cell (ucb on the
 // lopsided fleet) per seed and fails on any conservation violation; its
 // output joins the determinism CI matrix, so it must be byte-stable per
-// seed.
-func RunServeSmoke(seeds []int64) (string, error) {
+// seed (1, 2 and 3 unless o.Seed is set).
+func RunServeSmoke(o Options) (string, error) {
 	var b strings.Builder
 	b.WriteString("CI — serving smoke: one compressed high-contention cell per seed\n")
-	for _, seed := range seeds {
+	for _, seed := range o.Seeds(1, 2, 3) {
 		cfg := DefaultServeConfig()
 		cfg.Seed = seed
 		cfg.Duration = 600
 		cfg.Rates = []float64{0.25}
 		cfg.Policies = []string{"ucb"}
-		res, err := RunServe(cfg)
+		res, err := RunServe(o, cfg)
 		if err != nil {
 			return "", fmt.Errorf("seed %d: %w", seed, err)
 		}
@@ -245,7 +252,7 @@ func RunServeSmoke(seeds []int64) (string, error) {
 // RunArrivals realizes an explicit -arrivals workload spec through the
 // front door (routing policy chosen by -route) on the standard serving
 // fleet and returns the outcome report.
-func RunArrivals(spec, route string, seed int64) (string, error) {
+func RunArrivals(o Options, spec, route string) (string, error) {
 	phases, err := frontdoor.ParseArrivals(spec)
 	if err != nil {
 		return "", err
@@ -255,30 +262,11 @@ func RunArrivals(spec, route string, seed int64) (string, error) {
 		return "", err
 	}
 	cfg := DefaultServeConfig()
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	reqs, err := frontdoor.Generate(phases, frontdoor.DefaultClasses(), rand.New(rand.NewSource(cfg.Seed)))
+	cfg.Seed = o.SeedOr(cfg.Seed)
+	stats, n, err := serveWorkload(o, cfg, phases, policy)
 	if err != nil {
 		return "", err
 	}
-	sim := simcore.New(cfg.Seed)
-	if sharedTel != nil {
-		sim.SetTelemetry(sharedTel)
-	}
-	fd, err := frontdoor.New(frontdoor.Config{
-		Sim:     sim,
-		Brokers: serveFleet(sim, cfg.NodeCounts, cfg.Tick),
-		Policy:  policy,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		return "", err
-	}
-	if err := fd.Start(reqs); err != nil {
-		return "", err
-	}
-	sim.RunUntil(cfg.RunCap)
 	span := 0.0
 	for _, p := range phases {
 		if p.End > span {
@@ -287,9 +275,9 @@ func RunArrivals(spec, route string, seed int64) (string, error) {
 	}
 	rate := 0.0
 	if span > 0 {
-		rate = float64(len(reqs)) / span
+		rate = float64(n) / span
 	}
-	res := []ServeResult{{Policy: policy.Name(), Rate: rate, Stats: fd.Stats()}}
+	res := []ServeResult{{Policy: policy.Name(), Rate: rate, Stats: stats}}
 	return "serving — front door on the standard 8/4/2 fleet\n\n" +
 		"workload: " + frontdoor.FormatArrivals(phases) + "\n" +
 		"policy:   " + policy.Name() + "\n\n" +

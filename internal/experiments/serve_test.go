@@ -11,7 +11,7 @@ import (
 // headline claim of the checked-in report.
 func TestRunServeSweep(t *testing.T) {
 	cfg := DefaultServeConfig()
-	res, err := RunServe(cfg)
+	res, err := RunServe(Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRunServeSweep(t *testing.T) {
 // byte-for-byte (the serve report joins the -exp all determinism contract).
 func TestRunServeDeterministic(t *testing.T) {
 	run := func() string {
-		res, err := RunServe(DefaultServeConfig())
+		res, err := RunServe(Options{}, DefaultServeConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestRunServeDeterministic(t *testing.T) {
 // TestRunArrivals: the explicit-workload runner echoes the canonical spec
 // and reports through the standard tables.
 func TestRunArrivals(t *testing.T) {
-	out, err := RunArrivals("poisson@0-400:rate=0.1,mix=int:1", "least", 4)
+	out, err := RunArrivals(Options{Seed: 4}, "poisson@0-400:rate=0.1,mix=int:1", "least")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +86,10 @@ func TestRunArrivals(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := RunArrivals("burst@0-10:rate=1", "least", 0); err == nil {
+	if _, err := RunArrivals(Options{}, "burst@0-10:rate=1", "least"); err == nil {
 		t.Fatal("bad arrivals spec accepted")
 	}
-	if _, err := RunArrivals("poisson@0-10:rate=1", "random-forest", 0); err == nil {
+	if _, err := RunArrivals(Options{}, "poisson@0-10:rate=1", "random-forest"); err == nil {
 		t.Fatal("bad policy accepted")
 	}
 }

@@ -11,22 +11,23 @@ import (
 // chaossoak.DefaultConfig).
 func DefaultSoakConfig() chaossoak.Config { return chaossoak.DefaultConfig() }
 
-// RunSoak executes one chaos soak with the shared telemetry hub attached,
+// RunSoak executes one chaos soak with the run's telemetry hub attached,
 // so `gradsim -exp soak -trace out.jsonl` emits the byte-identical JSONL
 // stream the CI determinism check compares.
-func RunSoak(cfg chaossoak.Config) (*chaossoak.Result, error) {
-	cfg.Telemetry = sharedTel
+func RunSoak(o Options, cfg chaossoak.Config) (*chaossoak.Result, error) {
+	cfg.Telemetry = o.Telemetry
 	return chaossoak.Run(cfg)
 }
 
 // RunSoakSmoke runs the compressed CI matrix: one short soak per seed,
 // aggregating every violation. It fails fast on setup errors only — a
 // violating run is reported through the results, not an error, so the
-// caller can render all seeds before failing.
-func RunSoakSmoke(seeds []int64) ([]*chaossoak.Result, error) {
-	out := make([]*chaossoak.Result, 0, len(seeds))
-	for _, seed := range seeds {
-		r, err := RunSoak(chaossoak.SmokeConfig(seed))
+// caller can render all seeds before failing. It runs seeds 1, 2 and 3
+// unless o.Seed is set.
+func RunSoakSmoke(o Options) ([]*chaossoak.Result, error) {
+	var out []*chaossoak.Result
+	for _, seed := range o.Seeds(1, 2, 3) {
+		r, err := RunSoak(o, chaossoak.SmokeConfig(seed))
 		if err != nil {
 			return nil, fmt.Errorf("soak smoke seed %d: %w", seed, err)
 		}
@@ -73,6 +74,16 @@ func FormatSoak(r *chaossoak.Result) string {
 		}
 	}
 	return b.String()
+}
+
+// SoakTable is one soak's per-class outcome in raw values, for -csv.
+func SoakTable(r *chaossoak.Result) *Table {
+	t := &Table{Header: []string{"class", "jobs", "done", "failed", "quarantined", "mean_turnaround_s", "mean_requeues"}}
+	for _, c := range r.PerClass {
+		t.Add(c.Class, fmt.Sprint(c.Jobs), fmt.Sprint(c.Done), fmt.Sprint(c.Failed),
+			fmt.Sprint(c.Quarantined), fmt.Sprint(c.MeanTurnaround), fmt.Sprintf("%.2f", c.MeanRequeues))
+	}
+	return t
 }
 
 // SoakFailure summarizes why a soak (or smoke matrix) must fail the run,

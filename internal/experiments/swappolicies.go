@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"grads/internal/topology"
+)
 
 // SwapPolicyResult is one policy's outcome on the Figure 4 scenario.
 type SwapPolicyResult struct {
@@ -13,10 +17,10 @@ type SwapPolicyResult struct {
 // the policy study of the cited HPDC-12 paper ("we have designed and
 // evaluated several policies"): no swapping, per-machine greedy, threshold,
 // and the gang policy that moves the whole synchronized active set.
-func RunSwapPolicies(cfg Fig4Config) ([]SwapPolicyResult, error) {
+func RunSwapPolicies(o Options, cfg Fig4Config) ([]SwapPolicyResult, error) {
 	var out []SwapPolicyResult
 	for _, policy := range []string{"none", "greedy", "threshold", "gang"} {
-		rt, done, err := fig4Run(cfg, policy)
+		rt, done, err := fig4Run(o, cfg, policy, topology.MicroGridTestbed)
 		if err != nil {
 			return nil, fmt.Errorf("swap policy %s: %w", policy, err)
 		}

@@ -50,12 +50,12 @@ type ValidationResult struct {
 }
 
 // RunValidation replays the Figure 4 scenario on both testbeds.
-func RunValidation(cfg Fig4Config) (*ValidationResult, error) {
-	micro, microDone, err := fig4RunOn(cfg, cfg.Policy, topology.MicroGridTestbed)
+func RunValidation(o Options, cfg Fig4Config) (*ValidationResult, error) {
+	micro, microDone, err := fig4Run(o, cfg, cfg.Policy, topology.MicroGridTestbed)
 	if err != nil {
 		return nil, fmt.Errorf("microgrid: %w", err)
 	}
-	macro, macroDone, err := fig4RunOn(cfg, cfg.Policy, MacroGridSlice)
+	macro, macroDone, err := fig4Run(o, cfg, cfg.Policy, MacroGridSlice)
 	if err != nil {
 		return nil, fmt.Errorf("macrogrid: %w", err)
 	}

@@ -49,7 +49,7 @@ const (
 )
 
 // RunWeather runs the ablation.
-func RunWeather(cfg WeatherConfig) ([]WeatherResult, error) {
+func RunWeather(o Options, cfg WeatherConfig) ([]WeatherResult, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 30
 	}
@@ -65,13 +65,13 @@ func RunWeather(cfg WeatherConfig) ([]WeatherResult, error) {
 
 		// Oracle: the decision and cost under the true time-averaged
 		// cross traffic (what a long transfer actually experiences).
-		oracleDec, oracleCost, err := weatherDecision(cfg, load.Constant(meanBg), false)
+		oracleDec, oracleCost, err := weatherDecision(o, cfg, load.Constant(meanBg), false)
 		if err != nil {
 			return nil, err
 		}
 		profile := burstProfile(quiet, spike, 1200)
 		for i, useNWS := range []bool{true, false} {
-			dec, cost, err := weatherDecision(cfg, profile, useNWS)
+			dec, cost, err := weatherDecision(o, cfg, profile, useNWS)
 			if err != nil {
 				return nil, err
 			}
@@ -101,9 +101,9 @@ func burstProfile(quiet, spike, until float64) load.Profile {
 
 // weatherDecision evaluates one migration decision at t=995 — inside the
 // [970, 1000) spike of the burst profile — for a loaded QR at cfg.N.
-func weatherDecision(cfg WeatherConfig, profile load.Profile, useNWS bool) (bool, float64, error) {
+func weatherDecision(o Options, cfg WeatherConfig, profile load.Profile, useNWS bool) (bool, float64, error) {
 	period := 10.0
-	env := NewEnv(cfg.Seed, topology.QRTestbed, "qr", period)
+	env := o.NewEnv(cfg.Seed, topology.QRTestbed, "qr", period)
 	wan := env.Grid.WAN("UTK", "UIUC")
 	load.Play(env.Sim, profile, func(v float64) { env.Grid.Net.SetBackground(wan, v) })
 	env.Grid.Node("utk1").CPU.SetExternalLoad(1)

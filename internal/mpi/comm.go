@@ -16,8 +16,6 @@ type Comm struct {
 	phys []int // virtual rank -> physical rank
 }
 
-var nextCommID int
-
 // NewComm creates a communicator over the given physical ranks, in virtual
 // rank order. Physical ranks must be distinct and in range.
 func NewComm(w *World, phys []int) *Comm {
@@ -28,8 +26,8 @@ func NewComm(w *World, phys []int) *Comm {
 		}
 		seen[p] = true
 	}
-	nextCommID++
-	return &Comm{w: w, id: nextCommID, phys: append([]int(nil), phys...)}
+	w.comms++
+	return &Comm{w: w, id: w.comms, phys: append([]int(nil), phys...)}
 }
 
 // WorldComm returns the identity communicator over all physical ranks.

@@ -63,6 +63,7 @@ type World struct {
 	failed      error
 	exited      bool
 	unsubscribe func()
+	comms       int // communicators created; numbers their tag space
 }
 
 // Rank is one physical process of a World.
