@@ -299,22 +299,6 @@ func BenchmarkBlockCyclicRedistribute(b *testing.B) {
 	}
 }
 
-func BenchmarkRankMatrix(b *testing.B) {
-	grid := topology.MacroGrid(simcore.New(1))
-	wf, err := apps.EMANWorkflow(400, 24)
-	if err != nil {
-		b.Fatal(err)
-	}
-	expanded := wf.Expand()
-	s := core.NewScheduler(grid, nil)
-	assigned := make([]core.Assignment, expanded.Len())
-	ready := []int{0}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Matrix(expanded, ready, grid.Nodes(), assigned)
-	}
-}
-
 func BenchmarkRescheduleDecision(b *testing.B) {
 	sim := simcore.New(1)
 	grid := topology.QRTestbed(sim)

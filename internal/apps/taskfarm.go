@@ -83,9 +83,6 @@ func (f *TaskFarm) Mapper() cop.Mapper { return cop.GreedyMapper{Width: f.Width,
 // Model implements cop.COP.
 func (f *TaskFarm) Model() cop.PerformanceModel { return f }
 
-// DoneTasks returns the progress marker.
-func (f *TaskFarm) DoneTasks() int { return f.doneTasks }
-
 // CurNodes returns the nodes of the current (or last) execution segment.
 func (f *TaskFarm) CurNodes() []*topology.Node { return f.curNodes }
 
@@ -139,17 +136,6 @@ func (f *TaskFarm) Rollback() bool {
 	f.doneTasks = marker
 	f.lastRoundActual, f.lastRoundPredicted = 0, 0
 	return ok
-}
-
-// PredictedRoundSensor and ActualRoundSensor expose the farm's contract
-// signals: promised versus measured duration of the most recent round.
-func (f *TaskFarm) PredictedRoundSensor() func() (float64, bool) {
-	return func() (float64, bool) { return f.lastRoundPredicted, f.lastRoundPredicted > 0 }
-}
-
-// ActualRoundSensor returns the measured-duration sensor.
-func (f *TaskFarm) ActualRoundSensor() func() (float64, bool) {
-	return func() (float64, bool) { return f.lastRoundActual, f.lastRoundActual > 0 }
 }
 
 // farmCkptKey is the stable checkpoint key of one worker in a P-worker

@@ -74,8 +74,8 @@ func TestMonitorRoutesViolationsThroughActuators(t *testing.T) {
 	if !found {
 		t.Fatal("actuation not logged")
 	}
-	if m.Violations() != 1 {
-		t.Fatalf("violations = %d, want 1 (actuator acted)", m.Violations())
+	if m.violations != 1 {
+		t.Fatalf("violations = %d, want 1 (actuator acted)", m.violations)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestMonitorActuatorFailureWidensLimits(t *testing.T) {
 	m.Start()
 	sim.RunUntil(400)
 	m.Stop()
-	widened, _ := m.Adjustments()
+	widened := m.adjustUps
 	if widened == 0 {
 		t.Fatal("failed actuation should widen the limits (rescheduler declined)")
 	}

@@ -17,12 +17,6 @@ func TestMembershipShapes(t *testing.T) {
 			t.Fatalf("Triangle(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
-	trap := Trapezoid(0, 1, 2, 3)
-	for _, c := range []struct{ x, want float64 }{{0.5, 0.5}, {1.5, 1}, {2.5, 0.5}, {4, 0}} {
-		if got := trap(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("Trapezoid(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
 	g := Grade(1, 2)
 	if g(0.5) != 0 || g(1.5) != 0.5 || g(3) != 1 {
 		t.Fatal("Grade wrong")
@@ -142,8 +136,8 @@ func TestMonitorDetectsSustainedViolation(t *testing.T) {
 	if got.Time < 100 {
 		t.Fatalf("violation before the slowdown: t=%v", got.Time)
 	}
-	if m.Violations() != 1 {
-		t.Fatalf("violations = %d, want 1 (history reset after action)", m.Violations())
+	if m.violations != 1 {
+		t.Fatalf("violations = %d, want 1 (history reset after action)", m.violations)
 	}
 }
 
@@ -177,11 +171,11 @@ func TestMonitorWidensLimitsWhenReschedulerDeclines(t *testing.T) {
 	if declines == 0 {
 		t.Fatal("no violation ever reported")
 	}
-	_, upper := m.Limits()
+	upper := m.contract.UpperLimit
 	if upper <= 2.0 {
 		t.Fatalf("upper limit %v not widened after decline", upper)
 	}
-	widened, _ := m.Adjustments()
+	widened := m.adjustUps
 	if widened == 0 {
 		t.Fatal("widening not counted")
 	}
@@ -198,14 +192,14 @@ func TestMonitorLowersLimitsWhenFaster(t *testing.T) {
 	m.Start()
 	sim.RunUntil(200)
 	m.Stop()
-	lower, upper := m.Limits()
+	lower, upper := m.contract.LowerLimit, m.contract.UpperLimit
 	if lower >= 0.5 {
 		t.Fatalf("lower limit %v not lowered for a fast app", lower)
 	}
 	if upper <= 1 {
 		t.Fatalf("upper limit %v fell to/below 1", upper)
 	}
-	_, lowered := m.Adjustments()
+	lowered := m.adjustDown
 	if lowered == 0 {
 		t.Fatal("lowering not counted")
 	}

@@ -27,23 +27,6 @@ func Triangle(a, b, c float64) MembershipFunc {
 	}
 }
 
-// Trapezoid returns a trapezoidal membership function: 0 below a, rising to
-// 1 at b, flat to c, falling to 0 at d.
-func Trapezoid(a, b, c, d float64) MembershipFunc {
-	return func(x float64) float64 {
-		switch {
-		case x <= a || x >= d:
-			return 0
-		case x >= b && x <= c:
-			return 1
-		case x < b:
-			return (x - a) / (b - a)
-		default:
-			return (d - x) / (d - c)
-		}
-	}
-}
-
 // Grade returns a membership function that is 0 below a and rises to 1 at b,
 // staying 1 beyond (an "at least" term).
 func Grade(a, b float64) MembershipFunc {

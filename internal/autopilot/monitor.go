@@ -95,17 +95,6 @@ func (m *Monitor) Stop() {
 	}
 }
 
-// Violations returns how many violations were reported.
-func (m *Monitor) Violations() int { return m.violations }
-
-// Adjustments returns how many times the limits were widened and lowered.
-func (m *Monitor) Adjustments() (widened, lowered int) { return m.adjustUps, m.adjustDown }
-
-// Limits returns the current tolerance limits.
-func (m *Monitor) Limits() (lower, upper float64) {
-	return m.contract.LowerLimit, m.contract.UpperLimit
-}
-
 // AvgRatio returns the average of all computed ratios (0 with none).
 func (m *Monitor) AvgRatio() float64 {
 	if len(m.ratios) == 0 {

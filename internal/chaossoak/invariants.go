@@ -74,7 +74,6 @@ func (c *checker) violate(t float64, invariant, detail string) {
 	} else {
 		c.suppressed++
 	}
-	c.sim.Tracef("soak: INVARIANT VIOLATION [%s] %s", invariant, detail)
 	if tel := c.sim.Telemetry(); tel != nil {
 		tel.Counter("soak", "violations").Inc()
 		tel.Emit(telemetry.Event{

@@ -177,20 +177,6 @@ func (s *Scheduler) Rank(w *Workflow, ci int, r *topology.Node, assigned []Assig
 	return s.W1*s.ecost(c, r) + s.W2*s.dcostFrom(w, c, ci, r, assigned)
 }
 
-// Matrix builds the performance matrix over the ready components (rows) and
-// resources (columns) for inspection and benchmarking.
-func (s *Scheduler) Matrix(w *Workflow, ready []int, resources []*topology.Node, assigned []Assignment) [][]float64 {
-	m := make([][]float64, len(ready))
-	for i, ci := range ready {
-		row := make([]float64, len(resources))
-		for j, r := range resources {
-			row[j] = s.Rank(w, ci, r, assigned)
-		}
-		m[i] = row
-	}
-	return m
-}
-
 // tel returns the telemetry hub of the grid's simulation, or nil.
 func (s *Scheduler) tel() *telemetry.Telemetry {
 	if s.Grid == nil || s.Grid.Sim == nil {

@@ -51,9 +51,6 @@ func New(sim *simcore.Sim, name string, speed float64) *CPU {
 	return c
 }
 
-// Name returns the CPU's name (normally the owning node's name).
-func (c *CPU) Name() string { return c.name }
-
 // Speed returns the CPU's full-allocation speed in operations per second.
 func (c *CPU) Speed() float64 { return c.speed }
 
@@ -102,12 +99,6 @@ func (c *CPU) Running() int { return len(c.tasks) }
 // (and make freshly freed nodes look busy).
 func (c *CPU) Availability() float64 {
 	return 1.0 / (1.0 + c.extLoad)
-}
-
-// EffectiveSpeed returns the rate, in operations per second, that a newly
-// arriving task would receive right now.
-func (c *CPU) EffectiveSpeed() float64 {
-	return c.speed / (1.0 + float64(len(c.tasks)) + c.extLoad)
 }
 
 // BusyTime returns the cumulative virtual time during which at least one

@@ -146,10 +146,6 @@ func TestAvailabilityMetric(t *testing.T) {
 		if !almost(c.Availability(), 1.0/3.0, 1e-12) {
 			t.Errorf("availability with 2 foreign procs = %v, want 1/3", c.Availability())
 		}
-		// EffectiveSpeed is the share a NEW task would get (all sharers).
-		if !almost(c.EffectiveSpeed(), 25, 1e-9) {
-			t.Errorf("EffectiveSpeed = %v, want 25", c.EffectiveSpeed())
-		}
 	})
 	s.Run()
 }

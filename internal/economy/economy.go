@@ -86,15 +86,6 @@ func NewCommodityMarket(producers []*Producer, consumers []*Consumer, alpha floa
 	return m, nil
 }
 
-// Prices returns a copy of the current posted prices.
-func (m *CommodityMarket) Prices() map[string]float64 {
-	out := make(map[string]float64, len(m.prices))
-	for k, v := range m.prices {
-		out[k] = v
-	}
-	return out
-}
-
 // Round clears one market round: consumers buy greedily from the cheapest
 // acceptable sites within their budgets; oversubscribed sites allocate
 // first-come by consumer order (deterministic); then prices adjust toward

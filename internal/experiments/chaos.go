@@ -480,7 +480,6 @@ func isEndpointLoss(err error) bool {
 }
 
 func emitReplace(env *Env, comp, from, to string) {
-	env.Sim.Tracef("chaos: re-placing %s: %s -> %s", comp, from, to)
 	if tel := env.Sim.Telemetry(); tel != nil {
 		tel.Counter("chaos", "replacements").Inc()
 		tel.Emit(telemetry.Event{

@@ -58,16 +58,6 @@ type DagZooClass struct {
 	Cells []DagZooCell // heuristic-major, policy-minor
 }
 
-// Mean returns the class's aggregate for one (heuristic, policy) pair.
-func (c *DagZooClass) Mean(heuristic, policy string) (DagZooCell, bool) {
-	for _, cell := range c.Cells {
-		if cell.Heuristic == heuristic && cell.Policy == policy {
-			return cell, true
-		}
-	}
-	return DagZooCell{}, false
-}
-
 // RunDagZoo runs the leaderboard. Every schedule produced along the way is
 // passed through the listsched validity harness; a violation fails the
 // experiment rather than silently skewing the table.

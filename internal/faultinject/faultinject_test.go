@@ -129,15 +129,23 @@ func TestGenerateNodeFaultsDeterministicAndSparesSurvivor(t *testing.T) {
 	}
 }
 
+// loadSpec parses a -faults spec and loads it into the injector.
+func loadSpec(t *testing.T, in *Injector, spec string) {
+	t.Helper()
+	events, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatalf("ParseSpec(%q): %v", spec, err)
+	}
+	in.Load(events)
+}
+
 func TestInjectorExecutesTimeline(t *testing.T) {
 	sim := simcore.New(1)
 	g := testGrid(sim)
 	in := NewInjector(sim, g)
 	h := NewHealth(sim, "gis")
 	in.RegisterService("gis", h)
-	if err := in.LoadSpec("crash@10-20:a1;outage@5-15:gis;crash@30:nosuch"); err != nil {
-		t.Fatalf("LoadSpec: %v", err)
-	}
+	loadSpec(t, in, "crash@10-20:a1;outage@5-15:gis;crash@30:nosuch")
 	in.Start()
 
 	type probe struct {
@@ -197,9 +205,7 @@ func TestInjectorCkptCorruptWindow(t *testing.T) {
 	fc := &fakeCorruptor{}
 	in.RegisterStorage(fc)
 	// A windowed corruption on a1 plus one on an unknown node (skipped).
-	if err := in.LoadSpec("ckptcorrupt@10-30:a1;ckptcorrupt@10:nosuch"); err != nil {
-		t.Fatalf("LoadSpec: %v", err)
-	}
+	loadSpec(t, in, "ckptcorrupt@10-30:a1;ckptcorrupt@10:nosuch")
 	in.Start()
 	var midWindow, after bool
 	sim.At(20, func() { midWindow = fc.corrupting["a1"] })
@@ -222,9 +228,7 @@ func TestInjectorStormCrashesAndRevivesVictimSet(t *testing.T) {
 	in := NewInjector(sim, g)
 	// 2 a-prefixed victims; b1 crashes independently inside the window and
 	// must NOT be revived by the storm's recovery.
-	if err := in.LoadSpec("storm@10-50:a:2;crash@20:b1"); err != nil {
-		t.Fatalf("LoadSpec: %v", err)
-	}
+	loadSpec(t, in, "storm@10-50:a:2;crash@20:b1")
 	in.Start()
 	var duringA1, duringA2, duringB1 bool
 	sim.At(30, func() {
@@ -250,9 +254,7 @@ func TestInjectorStormPicksLiveSortedPrefix(t *testing.T) {
 	// fall on a2 (next in sorted order), and the wildcard storm at t=30
 	// takes whatever is still alive.
 	g.SetNodeDown("a1", true)
-	if err := in.LoadSpec("storm@10:a:1;storm@30:*:5"); err != nil {
-		t.Fatalf("LoadSpec: %v", err)
-	}
+	loadSpec(t, in, "storm@10:a:1;storm@30:*:5")
 	in.Start()
 	var a2AtTwenty bool
 	sim.At(20, func() { a2AtTwenty = g.Node("a2").Down() })
@@ -274,9 +276,7 @@ func TestInjectorStopFreezesTimeline(t *testing.T) {
 	sim := simcore.New(1)
 	g := testGrid(sim)
 	in := NewInjector(sim, g)
-	if err := in.LoadSpec("crash@10:a1;crash@100:a2"); err != nil {
-		t.Fatal(err)
-	}
+	loadSpec(t, in, "crash@10:a1;crash@100:a2")
 	in.Start()
 	sim.At(50, in.Stop)
 	sim.Run()
@@ -321,10 +321,7 @@ func TestHealthCheckGateAndLatency(t *testing.T) {
 	if !Retryable(downErr) || !errors.Is(downErr, ErrUnavailable) {
 		t.Fatalf("down Check error %v, want retryable ErrUnavailable", downErr)
 	}
-	if h.Rejected() != 1 {
-		t.Fatalf("rejected=%d, want 1", h.Rejected())
-	}
-	if err := h.CheckNow(); !Retryable(err) {
-		t.Fatalf("CheckNow while down = %v, want retryable", err)
+	if h.rejected != 1 {
+		t.Fatalf("rejected=%d, want 1", h.rejected)
 	}
 }

@@ -42,7 +42,6 @@ type Health struct {
 	extraLat float64 // added per-call latency in seconds
 
 	rejected int // calls failed while down
-	delayed  int // calls that paid extra latency
 }
 
 // NewHealth creates a healthy service handle named name (e.g. "gis").
@@ -50,24 +49,8 @@ func NewHealth(sim *simcore.Sim, name string) *Health {
 	return &Health{sim: sim, name: name}
 }
 
-// Name returns the service name.
-func (h *Health) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Down reports whether the service is currently out.
 func (h *Health) Down() bool { return h != nil && h.down }
-
-// ExtraLatency returns the current per-call latency penalty in seconds.
-func (h *Health) ExtraLatency() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.extraLat
-}
 
 // SetDown marks the service out or restored.
 func (h *Health) SetDown(down bool) {
@@ -89,14 +72,6 @@ func (h *Health) SetExtraLatency(d float64) {
 	h.extraLat = d
 }
 
-// Rejected returns how many calls failed because the service was down.
-func (h *Health) Rejected() int {
-	if h == nil {
-		return 0
-	}
-	return h.rejected
-}
-
 // Check is the call-boundary gate: the calling process pays any injected
 // latency penalty, then receives ErrUnavailable (wrapped with the service
 // name) if the service is down. A nil Health passes for free.
@@ -105,7 +80,6 @@ func (h *Health) Check(p *simcore.Proc) error {
 		return nil
 	}
 	if h.extraLat > 0 {
-		h.delayed++
 		if err := p.Sleep(h.extraLat); err != nil {
 			return err
 		}
@@ -118,14 +92,4 @@ func (h *Health) Check(p *simcore.Proc) error {
 		return fmt.Errorf("%w: %s", ErrUnavailable, h.name)
 	}
 	return nil
-}
-
-// CheckNow is Check for kernel/event contexts that cannot sleep: it skips
-// the latency penalty and only applies the availability gate.
-func (h *Health) CheckNow() error {
-	if h == nil || !h.down {
-		return nil
-	}
-	h.rejected++
-	return fmt.Errorf("%w: %s", ErrUnavailable, h.name)
 }

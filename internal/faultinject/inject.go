@@ -73,9 +73,6 @@ func (in *Injector) RegisterService(name string, h *Health) {
 	}
 }
 
-// Service returns the registered Health for name, or nil.
-func (in *Injector) Service(name string) *Health { return in.services[name] }
-
 // Load appends a schedule of events to the injector's timeline. It must be
 // called before Start.
 func (in *Injector) Load(events []Event) {
@@ -100,16 +97,6 @@ func (in *Injector) Load(events []Event) {
 		}
 		return a.ev.Target < b.ev.Target
 	})
-}
-
-// LoadSpec parses a -faults spec string and loads it.
-func (in *Injector) LoadSpec(spec string) error {
-	events, err := ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	in.Load(events)
-	return nil
 }
 
 // Start spawns the injector process, which sleeps between scheduled actions
@@ -214,7 +201,6 @@ func (in *Injector) apply(a action) {
 	}
 	if !ok {
 		in.skipped++
-		in.sim.Tracef("faultinject: skipped %s (unknown target %q)", a.ev.Kind, a.ev.Target)
 		return
 	}
 	typ := telemetry.EvFaultInject
@@ -224,7 +210,6 @@ func (in *Injector) apply(a action) {
 	} else {
 		in.injected++
 	}
-	in.sim.Tracef("faultinject: %s %s %s", verb(a.recover), a.ev.Kind, a.ev.Target)
 	if tel := in.sim.Telemetry(); tel != nil {
 		tel.Counter("faultinject", counterName(a.recover)).Inc()
 		tel.Emit(telemetry.Event{

@@ -49,11 +49,6 @@ type Config struct {
 	// cooldown, no jitter). An open breaker sheds the class entirely
 	// until its cooldown probes succeed.
 	Breaker resilience.BreakerConfig
-	// BrownoutSuspects, when positive, diverts requests away from brokers
-	// whose failure detector currently suspects at least this many nodes
-	// (and drops them when every broker is browned out). Brokers without
-	// a detector are never considered browned out.
-	BrownoutSuspects int
 
 	// Quiet suppresses the front door's own telemetry (events and hub
 	// metrics), so a single-broker front door produces a trace
@@ -239,18 +234,11 @@ func (f *FrontDoor) handle(r Request) {
 
 	b := f.policy.Pick(f.views, f.rng)
 	diverted := false
-	if f.brownedOut(b) {
-		alt := f.divertTarget(b, true)
-		if alt < 0 {
-			f.drop(r, st, "brownout")
-			return
-		}
-		b, diverted = alt, true
-	} else if pressure > 1 && len(f.brokers) > 1 {
+	if pressure > 1 && len(f.brokers) > 1 {
 		// Offload: under SLO pressure, probabilistically divert away from
 		// the policy's choice to the least-loaded alternative.
 		if f.rng.Float64() < math.Min(pressure-1, 1) {
-			if alt := f.divertTarget(b, false); alt >= 0 {
+			if alt := f.divertTarget(b); alt >= 0 {
 				b, diverted = alt, true
 			}
 		}
@@ -357,23 +345,12 @@ func (f *FrontDoor) tel() *telemetry.Telemetry {
 	return f.sim.Telemetry()
 }
 
-// brownedOut reports whether broker i's failure detector currently sees a
-// storm of at least BrownoutSuspects suspected nodes.
-func (f *FrontDoor) brownedOut(i int) bool {
-	if f.cfg.BrownoutSuspects <= 0 {
-		return false
-	}
-	det := f.brokers[i].sched.Detector()
-	return det != nil && det.SuspectedCount() >= f.cfg.BrownoutSuspects
-}
-
 // divertTarget picks the least-loaded (outstanding per capacity) broker
-// other than exclude; with skipBrowned, browned-out brokers are also
-// ineligible. Returns -1 when no broker qualifies.
-func (f *FrontDoor) divertTarget(exclude int, skipBrowned bool) int {
+// other than exclude. Returns -1 when no broker qualifies.
+func (f *FrontDoor) divertTarget(exclude int) int {
 	best, bestLoad := -1, math.Inf(1)
 	for i := range f.views {
-		if i == exclude || (skipBrowned && f.brownedOut(i)) {
+		if i == exclude {
 			continue
 		}
 		load := float64(f.views[i].outstanding) / f.views[i].capacity

@@ -42,9 +42,6 @@ func New(sim *simcore.Sim, grid *topology.Grid) *Service {
 	}
 }
 
-// Queries returns how many queries the service has answered (stats).
-func (s *Service) Queries() int { return s.queries }
-
 // RegisterSoftware records that a package is installed at path on a node.
 func (s *Service) RegisterSoftware(node, pkg, path string) {
 	m := s.software[node]
@@ -131,10 +128,6 @@ func (s *Service) QueryResources(p *simcore.Proc, f Filter) ([]*topology.Node, e
 	}
 	return s.selectNodes(f), nil
 }
-
-// SelectResources is QueryResources without the virtual-time cost, for use
-// from kernel/event context.
-func (s *Service) SelectResources(f Filter) []*topology.Node { return s.selectNodes(f) }
 
 // Snapshot is a point-in-time shared view of the live resource pool: the
 // matching nodes plus the virtual time the view was taken. Brokers that

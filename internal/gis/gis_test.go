@@ -47,8 +47,8 @@ func TestQueryResourcesFilters(t *testing.T) {
 		}
 	})
 	sim.Run()
-	if s.Queries() != 5 {
-		t.Fatalf("query count = %d, want 5", s.Queries())
+	if s.queries != 5 {
+		t.Fatalf("query count = %d, want 5", s.queries)
 	}
 	// Each query costs QueryDelay of virtual time.
 	if want := 5 * QueryDelay; sim.Now() != want {

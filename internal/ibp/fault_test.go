@@ -28,26 +28,23 @@ func TestDepotOpsFailWhenNodeDown(t *testing.T) {
 	s.AddDepotsEverywhere()
 	a, b := g.Node("a1"), g.Node("b1")
 	sim.Spawn("app", func(p *simcore.Proc) {
-		if err := s.Store(p, a, a, "k", 1e6); err != nil {
-			t.Errorf("Store before crash: %v", err)
+		if err := s.StoreSum(p, a, a, "k", 1e6, 0); err != nil {
+			t.Errorf("StoreSum before crash: %v", err)
 		}
 		a.SetDown(true)
-		if err := s.Store(p, b, a, "k2", 1e6); !errors.Is(err, ErrDepotDown) {
-			t.Errorf("Store to down depot = %v, want ErrDepotDown", err)
-		}
-		if _, err := s.Retrieve(p, a, b, "k"); !errors.Is(err, ErrDepotDown) {
-			t.Errorf("Retrieve from down depot = %v, want ErrDepotDown", err)
+		if err := s.StoreSum(p, b, a, "k2", 1e6, 0); !errors.Is(err, ErrDepotDown) {
+			t.Errorf("StoreSum to down depot = %v, want ErrDepotDown", err)
 		}
 		if _, err := s.RetrievePartial(p, a, b, "k", 100); !errors.Is(err, ErrDepotDown) {
 			t.Errorf("RetrievePartial from down depot = %v, want ErrDepotDown", err)
 		}
 		// The class is retryable: the node may come back.
-		if err := s.Store(p, b, a, "k2", 1e6); !faultinject.Retryable(err) {
+		if err := s.StoreSum(p, b, a, "k2", 1e6, 0); !faultinject.Retryable(err) {
 			t.Errorf("ErrDepotDown must be retryable, got %v", err)
 		}
 		a.SetDown(false)
-		if _, err := s.Retrieve(p, a, b, "k"); err != nil {
-			t.Errorf("Retrieve after recovery: %v", err)
+		if _, err := s.RetrievePartial(p, a, b, "k", 1e6); err != nil {
+			t.Errorf("RetrievePartial after recovery: %v", err)
 		}
 	})
 	sim.Run()
@@ -63,12 +60,12 @@ func TestServiceOutageRejectsCalls(t *testing.T) {
 	a := g.Node("a1")
 	sim.Spawn("app", func(p *simcore.Proc) {
 		h.SetDown(true)
-		if err := s.Store(p, a, a, "k", 100); !faultinject.Retryable(err) {
-			t.Errorf("Store during outage = %v, want retryable ErrUnavailable", err)
+		if err := s.StoreSum(p, a, a, "k", 100, 0); !faultinject.Retryable(err) {
+			t.Errorf("StoreSum during outage = %v, want retryable ErrUnavailable", err)
 		}
 		h.SetDown(false)
-		if err := s.Store(p, a, a, "k", 100); err != nil {
-			t.Errorf("Store after outage: %v", err)
+		if err := s.StoreSum(p, a, a, "k", 100, 0); err != nil {
+			t.Errorf("StoreSum after outage: %v", err)
 		}
 	})
 	sim.Run()

@@ -52,18 +52,6 @@ type Depot struct {
 	corrupting bool            // writes land partially (torn) while set
 }
 
-// Node returns the node hosting the depot.
-func (d *Depot) Node() *topology.Node { return d.node }
-
-// Stored returns the total bytes resident in the depot.
-func (d *Depot) Stored() float64 {
-	sum := 0.0
-	for _, b := range d.blobs {
-		sum += b.bytes
-	}
-	return sum
-}
-
 // System is the set of IBP depots on an emulated Grid.
 type System struct {
 	sim    *simcore.Sim
@@ -118,17 +106,13 @@ func (s *System) AddDepotsEverywhere() {
 // Depot returns the depot on the named node, or nil.
 func (s *System) Depot(node string) *Depot { return s.depots[node] }
 
-// Store writes bytes under key into the depot on depotNode, called from a
-// process running on fromNode. The caller pays network transfer (if the
-// depot is remote) plus disk write time. Storing an existing key replaces it.
-func (s *System) Store(p *simcore.Proc, from, depotNode *topology.Node, key string, bytes float64) error {
-	return s.StoreSum(p, from, depotNode, key, bytes, 0)
-}
-
-// StoreSum is Store with a writer-declared checksum recorded alongside the
-// blob, so readers can verify integrity (Verify) before paying for the
-// read. A depot inside a corruption window tears the write: the blob lands
-// but is marked corrupt.
+// StoreSum writes bytes under key into the depot on depotNode, called from
+// a process running on fromNode. The caller pays network transfer (if the
+// depot is remote) plus disk write time; storing an existing key replaces
+// it. The writer-declared checksum sum is recorded alongside the blob, so
+// readers can verify integrity (Verify) before paying for the read. A depot
+// inside a corruption window tears the write: the blob lands but is marked
+// corrupt.
 func (s *System) StoreSum(p *simcore.Proc, from, depotNode *topology.Node, key string, bytes float64, sum uint64) error {
 	d := s.depots[depotNode.Name()]
 	if d == nil {
@@ -154,36 +138,6 @@ func (s *System) StoreSum(p *simcore.Proc, from, depotNode *topology.Node, key s
 	}
 	d.blobs[key] = blob{bytes: bytes, sum: sum, corrupt: d.corrupting}
 	return nil
-}
-
-// Retrieve reads the blob under key from the depot on depotNode into a
-// process running on toNode, paying disk read plus network transfer.
-// It returns the blob size.
-func (s *System) Retrieve(p *simcore.Proc, depotNode, to *topology.Node, key string) (float64, error) {
-	d := s.depots[depotNode.Name()]
-	if d == nil {
-		return 0, fmt.Errorf("ibp: no depot on %q", depotNode.Name())
-	}
-	b, ok := d.blobs[key]
-	if !ok {
-		return 0, fmt.Errorf("ibp: key %q not in depot on %q", key, depotNode.Name())
-	}
-	if b.corrupt {
-		return 0, fmt.Errorf("%w: %q on %q", ErrCorrupt, key, depotNode.Name())
-	}
-	bytes := b.bytes
-	if err := s.check(p, d); err != nil {
-		return 0, err
-	}
-	if err := p.Sleep(bytes / d.diskRate); err != nil {
-		return 0, err
-	}
-	if depotNode != to {
-		if _, err := s.grid.Net.TransferLabeled(p, s.grid.Route(depotNode, to), bytes, depotNode.Name(), to.Name()); err != nil {
-			return 0, err
-		}
-	}
-	return bytes, nil
 }
 
 // RetrievePartial reads bytes of the blob under key (a byte range, for

@@ -30,15 +30,15 @@ func TestLocalStoreIsCheapRemoteReadIsNot(t *testing.T) {
 	var writeDone, readDone float64
 	sim.Spawn("app", func(p *simcore.Proc) {
 		// Local checkpoint write: disk only.
-		if err := s.Store(p, a, a, "ckpt", 4e7); err != nil {
-			t.Errorf("Store: %v", err)
+		if err := s.StoreSum(p, a, a, "ckpt", 4e7, 0); err != nil {
+			t.Errorf("StoreSum: %v", err)
 		}
 		writeDone = p.Now()
 		// Remote checkpoint read from the other site: disk + WAN.
 		start := p.Now()
-		n, err := s.Retrieve(p, a, b, "ckpt")
+		n, err := s.RetrievePartial(p, a, b, "ckpt", 4e7)
 		if err != nil || n != 4e7 {
-			t.Errorf("Retrieve = %v, %v", n, err)
+			t.Errorf("RetrievePartial = %v, %v", n, err)
 		}
 		readDone = p.Now() - start
 	})
@@ -62,15 +62,15 @@ func TestStoreReplacesAndDelete(t *testing.T) {
 	a := g.Node("a1")
 	s.AddDepot(a, 1e9)
 	sim.Spawn("app", func(p *simcore.Proc) {
-		s.Store(p, a, a, "k", 100)
-		s.Store(p, a, a, "k", 250)
+		s.StoreSum(p, a, a, "k", 100, 0)
+		s.StoreSum(p, a, a, "k", 250, 0)
 	})
 	sim.Run()
 	if sz, ok := s.Size("a1", "k"); !ok || sz != 250 {
 		t.Fatalf("Size = %v, %v; want 250", sz, ok)
 	}
-	if s.Depot("a1").Stored() != 250 {
-		t.Fatalf("Stored = %v", s.Depot("a1").Stored())
+	if n := len(s.Depot("a1").blobs); n != 1 {
+		t.Fatalf("depot holds %d blobs after a replacing StoreSum, want 1", n)
 	}
 	s.Delete("a1", "k")
 	if _, ok := s.Size("a1", "k"); ok {
@@ -85,13 +85,13 @@ func TestErrorsOnMissingDepotOrKey(t *testing.T) {
 	a, b := g.Node("a1"), g.Node("b1")
 	s.AddDepot(a, 0)
 	sim.Spawn("app", func(p *simcore.Proc) {
-		if err := s.Store(p, a, b, "k", 1); err == nil {
-			t.Error("Store to missing depot should fail")
+		if err := s.StoreSum(p, a, b, "k", 1, 0); err == nil {
+			t.Error("StoreSum to missing depot should fail")
 		}
-		if _, err := s.Retrieve(p, a, a, "ghost"); err == nil {
-			t.Error("Retrieve of missing key should fail")
+		if _, err := s.RetrievePartial(p, a, a, "ghost", 1); err == nil {
+			t.Error("RetrievePartial of missing key should fail")
 		}
-		if err := s.Store(p, a, a, "neg", -5); err == nil {
+		if err := s.StoreSum(p, a, a, "neg", -5, 0); err == nil {
 			t.Error("negative size should fail")
 		}
 	})

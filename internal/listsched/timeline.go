@@ -119,8 +119,3 @@ func (t *Timeline) CheckInvariants() error {
 	}
 	return nil
 }
-
-// Clone returns an independent copy of the timeline.
-func (t *Timeline) Clone() *Timeline {
-	return &Timeline{slots: append([]Slot(nil), t.slots...)}
-}

@@ -93,8 +93,9 @@ const maxZooSize = 4096
 //	eman     n=400,width=8             the §3.3 EMAN workflow, width-way split
 //
 // Omitted keys take the class defaults shown; integer parameters must be in
-// [1, 4096] and ccr finite and non-negative. The result is canonical:
-// FormatZoo renders it back to a spec that reparses to the identical value.
+// [1, 4096] and ccr in [0, 1024] (NaN and infinities are rejected). The
+// result is canonical: FormatZoo renders it back to a spec that reparses to
+// the identical value.
 func ParseZoo(spec string) ([]ZooSpec, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("listsched: empty zoo spec")

@@ -5,15 +5,14 @@
 // the GridSim / deadline-and-budget brokering literature studies.
 //
 // Jobs are submitted into a queue (FIFO, priority, or priority-backfill
-// order, with priorities set by G-commerce-style posted-price bidding),
+// order, with priorities set by each job's bid),
 // admitted against a shared GIS/NWS snapshot of the free pool, and each
 // admitted job runs through its own application manager on an exclusive
 // *lease* of nodes. Leases make ownership explicit: overlapping grants are
 // rejected, crashed nodes are reclaimed out of live leases by a topology
-// watcher, and preemption — triggered by a starving high-priority job or a
-// violated performance contract — is negotiated with the rescheduler and
-// executed through the existing SRS stop-and-restart path onto a smaller
-// lease.
+// watcher, and preemption — triggered by a starving high-priority job — is
+// negotiated with the rescheduler and executed through the existing SRS
+// stop-and-restart path onto a smaller lease.
 package metasched
 
 import (
@@ -62,7 +61,6 @@ type LeaseManager struct {
 	busy       float64
 
 	reclaimed   int
-	onReclaim   func(l *Lease, n *topology.Node)
 	unsubscribe func()
 }
 
@@ -90,17 +88,6 @@ func (m *LeaseManager) Close() {
 		m.unsubscribe = nil
 	}
 }
-
-// OnReclaim installs a callback fired whenever a crashed node is reclaimed
-// out of a live lease (after the lease has shrunk).
-func (m *LeaseManager) OnReclaim(fn func(l *Lease, n *topology.Node)) { m.onReclaim = fn }
-
-// Reclaimed returns how many nodes have been reclaimed from leases by
-// crashes.
-func (m *LeaseManager) Reclaimed() int { return m.reclaimed }
-
-// LeasedNodes returns how many nodes are currently under lease.
-func (m *LeaseManager) LeasedNodes() int { return m.leasedNow }
 
 // BusyNodeSeconds returns the leased-node time integral up to now (the
 // utilization numerator: node-seconds under lease).
@@ -226,9 +213,6 @@ func (m *LeaseManager) reclaim(n *topology.Node) {
 				telemetry.I("remaining", len(l.nodes)),
 			},
 		})
-	}
-	if m.onReclaim != nil {
-		m.onReclaim(l, n)
 	}
 }
 

@@ -35,8 +35,8 @@ func TestReclaimDuringInFlightPreemption(t *testing.T) {
 	r.sim.At(20, func() { freed = lm.Shrink(l, keep) })
 	r.sim.Run()
 
-	if lm.Reclaimed() != 2 {
-		t.Fatalf("reclaimed = %d, want 2", lm.Reclaimed())
+	if lm.reclaimed != 2 {
+		t.Fatalf("reclaimed = %d, want 2", lm.reclaimed)
 	}
 	// The lease must hold exactly the live kept node.
 	if l.Size() != 1 || l.Nodes()[0] != nodes[0] {
@@ -47,8 +47,8 @@ func TestReclaimDuringInFlightPreemption(t *testing.T) {
 	if len(freed) != 1 || freed[0] != nodes[2] {
 		t.Fatalf("shrink freed %v, want [%s]", freed, nodes[2].Name())
 	}
-	if lm.LeasedNodes() != l.Size() {
-		t.Fatalf("leasedNodes = %d, lease size = %d", lm.LeasedNodes(), l.Size())
+	if lm.leasedNow != l.Size() {
+		t.Fatalf("leasedNodes = %d, lease size = %d", lm.leasedNow, l.Size())
 	}
 	// Crashed nodes stay out of the free pool; the freed node is grantable.
 	for _, n := range lm.Free(nodes) {
@@ -60,8 +60,8 @@ func TestReclaimDuringInFlightPreemption(t *testing.T) {
 		t.Fatalf("granting shrink-freed node: %v", err)
 	}
 	lm.Release(l)
-	if lm.LeasedNodes() != 1 {
-		t.Fatalf("leasedNodes = %d after release, want 1 (beneficiary)", lm.LeasedNodes())
+	if lm.leasedNow != 1 {
+		t.Fatalf("leasedNodes = %d after release, want 1 (beneficiary)", lm.leasedNow)
 	}
 }
 
@@ -82,8 +82,6 @@ func TestCrashDuringShrinkUnderPartition(t *testing.T) {
 		t.Fatalf("grant: %v", err)
 	}
 	keep := utk[:2]
-	reclaims := 0
-	lm.OnReclaim(func(*Lease, *topology.Node) { reclaims++ })
 
 	// t=10: the WAN partitions. Leases are broker-side state, not flows.
 	r.sim.At(10, func() {
@@ -118,8 +116,8 @@ func TestCrashDuringShrinkUnderPartition(t *testing.T) {
 	})
 	r.sim.RunUntil(40)
 
-	if reclaims != 1 || lm.Reclaimed() != 1 {
-		t.Fatalf("crash under partition reclaimed %d/%d times, want exactly 1", reclaims, lm.Reclaimed())
+	if lm.reclaimed != 1 {
+		t.Fatalf("crash under partition reclaimed %d times, want exactly 1", lm.reclaimed)
 	}
 	if l.Size() != 1 || l.Nodes()[0] != keep[0] {
 		t.Fatalf("lease holds %v, want [%s]", l.Nodes(), keep[0].Name())
@@ -150,19 +148,17 @@ func TestDoubleCrashSameNodeWithinOneTick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("grant: %v", err)
 	}
-	reclaims := 0
-	lm.OnReclaim(func(*Lease, *topology.Node) { reclaims++ })
 
 	// Two crash events for the same node at the same instant: the second is
 	// a state no-op and must not re-reclaim.
 	r.sim.At(10, func() { r.grid.SetNodeDown(nodes[0].Name(), true) })
 	r.sim.At(10, func() { r.grid.SetNodeDown(nodes[0].Name(), true) })
 	r.sim.RunUntil(11)
-	if reclaims != 1 || lm.Reclaimed() != 1 {
-		t.Fatalf("double crash reclaimed %d/%d times, want 1", reclaims, lm.Reclaimed())
+	if lm.reclaimed != 1 {
+		t.Fatalf("double crash reclaimed %d times, want 1", lm.reclaimed)
 	}
-	if l.Size() != 3 || lm.LeasedNodes() != 3 {
-		t.Fatalf("lease %d leased %d after double crash, want 3/3", l.Size(), lm.LeasedNodes())
+	if l.Size() != 3 || lm.leasedNow != 3 {
+		t.Fatalf("lease %d leased %d after double crash, want 3/3", l.Size(), lm.leasedNow)
 	}
 
 	// Crash, recover, and crash again within one tick. The recovery returns
@@ -172,11 +168,11 @@ func TestDoubleCrashSameNodeWithinOneTick(t *testing.T) {
 	r.sim.At(20, func() { r.grid.SetNodeDown(nodes[1].Name(), false) })
 	r.sim.At(20, func() { r.grid.SetNodeDown(nodes[1].Name(), true) })
 	r.sim.RunUntil(21)
-	if reclaims != 2 || lm.Reclaimed() != 2 {
-		t.Fatalf("crash/recover/crash reclaimed %d/%d times, want 2", reclaims, lm.Reclaimed())
+	if lm.reclaimed != 2 {
+		t.Fatalf("crash/recover/crash reclaimed %d times, want 2", lm.reclaimed)
 	}
-	if l.Size() != 2 || lm.LeasedNodes() != 2 {
-		t.Fatalf("lease %d leased %d, want 2/2", l.Size(), lm.LeasedNodes())
+	if l.Size() != 2 || lm.leasedNow != 2 {
+		t.Fatalf("lease %d leased %d, want 2/2", l.Size(), lm.leasedNow)
 	}
 	// The twice-crashed node is down and must not be grantable or free.
 	if !nodes[1].Down() {

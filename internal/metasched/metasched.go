@@ -9,7 +9,6 @@ import (
 	"grads/internal/appmgr"
 	"grads/internal/binder"
 	"grads/internal/cop"
-	"grads/internal/economy"
 	"grads/internal/faultinject"
 	"grads/internal/gis"
 	"grads/internal/ibp"
@@ -124,9 +123,6 @@ func (j *Job) State() JobState { return j.state }
 // The chaos soak audits its integrity counters through this.
 func (j *Job) RSS() *srs.RSS { return j.rss }
 
-// Report returns the application manager's phase report (nil until done).
-func (j *Job) Report() *appmgr.Report { return j.report }
-
 // Err returns the terminal error of a failed job.
 func (j *Job) Err() error { return j.failErr }
 
@@ -187,11 +183,6 @@ type Config struct {
 	// 2*StarveAfter; non-positive disables relaxation).
 	RelaxAfter float64
 
-	// PriceFloor and PriceAlpha parameterize the spot pricer whose posted
-	// price every round reports (defaults 1 and 0.1).
-	PriceFloor float64
-	PriceAlpha float64
-
 	// Retrier, when set, is handed to every job's application manager so
 	// binds survive transient service outages.
 	Retrier *resilience.Retrier
@@ -201,10 +192,10 @@ type Config struct {
 	// not at the next tick).
 	DetectorPeriod float64
 
-	// MaxRequeues, when positive, caps how many times a job may lose its
-	// lease and re-enter the queue before the broker quarantines it as a
-	// poison job (terminal, but accounted — never silently lost). Zero
-	// means unlimited requeues.
+	// MaxRequeues, when positive, quarantines a job as a poison job
+	// (terminal, but accounted — never silently lost) on its MaxRequeues-th
+	// lost lease: the first MaxRequeues-1 losses requeue it, the next one
+	// retires it. Zero means unlimited requeues.
 	MaxRequeues int
 	// RequeueBackoff, when positive, is the base of an exponential
 	// re-admission delay: after its k-th requeue a job is ineligible for
@@ -223,7 +214,7 @@ type Config struct {
 
 	// Name, when set, identifies this broker in a multi-broker fleet: the
 	// scheduler's telemetry component becomes "metasched:<name>" so each
-	// broker's queue/price gauges stay distinct (lease counters remain on
+	// broker's queue gauges stay distinct (lease counters remain on
 	// the shared "metasched" component — they are fleet-wide totals).
 	// Empty keeps the single-broker component "metasched".
 	Name string
@@ -249,7 +240,6 @@ type Scheduler struct {
 	comp   string // telemetry component: "metasched" or "metasched:<name>"
 	leases *LeaseManager
 	resch  *rescheduler.Rescheduler
-	pricer *economy.SpotPricer
 	det    *resilience.Detector
 
 	jobs   []*Job // by ID
@@ -304,7 +294,6 @@ func New(cfg Config) (*Scheduler, error) {
 		comp:   comp,
 		leases: NewLeaseManager(cfg.Sim, cfg.Grid),
 		resch:  rescheduler.New(cfg.Grid, cfg.Weather),
-		pricer: economy.NewSpotPricer(cfg.PriceFloor, cfg.PriceAlpha),
 		byName: make(map[string]*Job),
 	}
 	return s, nil
@@ -312,14 +301,6 @@ func New(cfg Config) (*Scheduler, error) {
 
 // Leases exposes the lease ledger (utilization accounting, reclaim stats).
 func (s *Scheduler) Leases() *LeaseManager { return s.leases }
-
-// Detector returns the broker's failure detector (nil unless DetectorPeriod
-// was set and Start has run). Front-door brownout shedding reads its suspect
-// count.
-func (s *Scheduler) Detector() *resilience.Detector { return s.det }
-
-// Price returns the current posted spot price.
-func (s *Scheduler) Price() float64 { return s.pricer.Price() }
 
 // Admissions returns how many admissions were performed (including
 // re-admissions of requeued jobs).
@@ -478,9 +459,8 @@ func (s *Scheduler) availFn(nodes []*topology.Node) func(*topology.Node) float64
 	}
 }
 
-// round performs one admission round: shared GIS/NWS snapshot, price
-// update, admissions under the queue policy, then starvation-driven
-// preemption.
+// round performs one admission round: shared GIS/NWS snapshot, admissions
+// under the queue policy, then starvation-driven preemption.
 func (s *Scheduler) round(p *simcore.Proc) {
 	if s.inRound || s.stopped {
 		return
@@ -494,7 +474,6 @@ func (s *Scheduler) round(p *simcore.Proc) {
 	// jobs and leases are untouched.
 	if s.cfg.BrownoutSuspects > 0 && s.det != nil && s.det.SuspectedCount() >= s.cfg.BrownoutSuspects {
 		s.brownouts++
-		s.cfg.Sim.Tracef("metasched: brownout, %d nodes suspected — admission round shed", s.det.SuspectedCount())
 		if tel := s.cfg.Sim.Telemetry(); tel != nil {
 			tel.Counter(s.comp, "brownouts").Inc()
 			tel.Emit(telemetry.Event{
@@ -512,15 +491,9 @@ func (s *Scheduler) round(p *simcore.Proc) {
 	avail := s.availFn(snap.Nodes)
 	free := s.leases.Free(snap.Nodes)
 
-	demand := 0
-	for _, j := range s.queued {
-		demand += j.Spec.Width
-	}
-	s.pricer.Observe(demand, len(free))
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
 		tel.Gauge(s.comp, "queue_depth").Set(float64(len(s.queued)))
 		tel.Gauge(s.comp, "free_nodes").Set(float64(len(free)))
-		tel.Gauge(s.comp, "spot_price").Set(s.pricer.Price())
 	}
 
 	// Admission loop: admit heads while they fit; under backfill, let
@@ -613,7 +586,6 @@ func (s *Scheduler) admit(p *simcore.Proc, job *Job, nodes []*topology.Node) boo
 			Args: []telemetry.Arg{
 				telemetry.I("nodes", len(nodes)),
 				telemetry.F("wait", now-job.enqueuedAt),
-				telemetry.F("price", s.pricer.Price()),
 			},
 		})
 	}
@@ -710,7 +682,6 @@ func (s *Scheduler) quarantine(job *Job) {
 	job.finishAt = now
 	job.failErr = fmt.Errorf("metasched: %s quarantined after %d requeues", job.Spec.Name, job.requeues)
 	s.quarantined++
-	s.cfg.Sim.Tracef("metasched: quarantined poison job %s (%d requeues)", job.Spec.Name, job.requeues)
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
 		tel.Counter(s.comp, "quarantines").Inc()
 		tel.Emit(telemetry.Event{
@@ -827,41 +798,6 @@ func (s *Scheduler) orderShrink(victim *Job, keep []*topology.Node, beneficiary 
 		})
 	}
 }
-
-// ReportViolation is the contract-monitoring entry point: when a running
-// job's performance contract is violated (its nodes underdeliver), the
-// broker negotiates shrinking it to its MinWidth-fastest nodes so the
-// flaky remainder returns to the pool. Returns whether a shrink was
-// ordered.
-func (s *Scheduler) ReportViolation(name string) bool {
-	job := s.byName[name]
-	if job == nil || job.state != JobRunning || job.preemptPending || job.lease == nil {
-		return false
-	}
-	need := job.lease.Size() - job.minWidth()
-	if need <= 0 {
-		return false
-	}
-	v := &rescheduler.Preemptee{
-		Name:     job.Spec.Name,
-		App:      job.cop.Model(),
-		Nodes:    job.lease.Nodes(),
-		MinNodes: job.minWidth(),
-	}
-	plan := s.resch.PlanPreemption([]*rescheduler.Preemptee{v}, need)
-	if plan == nil {
-		return false
-	}
-	s.violations++
-	if tel := s.cfg.Sim.Telemetry(); tel != nil {
-		tel.Counter(s.comp, "contract_violations").Inc()
-	}
-	s.orderShrink(job, plan.Keep, "contract")
-	return true
-}
-
-// Violations returns how many contract violations led to shrink orders.
-func (s *Scheduler) Violations() int { return s.violations }
 
 // Quarantined returns how many poison jobs the requeue cap retired.
 func (s *Scheduler) Quarantined() int { return s.quarantined }

@@ -108,8 +108,8 @@ func TestLeaseLifecycle(t *testing.T) {
 		t.Fatalf("shrink freed %d (lease %d), want 3 (1)", len(freed), b.Size())
 	}
 	lm.Release(b)
-	if lm.LeasedNodes() != 0 {
-		t.Fatalf("leased = %d after releasing everything", lm.LeasedNodes())
+	if lm.leasedNow != 0 {
+		t.Fatalf("leased = %d after releasing everything", lm.leasedNow)
 	}
 	// A lease holding a down node is refused.
 	nodes[0].SetDown(true)
@@ -129,17 +129,17 @@ func TestLeaseReclaimAndUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("grant: %v", err)
 	}
-	var reclaimed string
-	lm.OnReclaim(func(_ *Lease, n *topology.Node) { reclaimed = n.Name() })
 	r.sim.At(10, func() { r.grid.SetNodeDown(nodes[0].Name(), true) })
 	r.sim.At(25, func() {})
 	r.sim.Run()
 
-	if l.Size() != 3 || lm.Reclaimed() != 1 {
-		t.Fatalf("lease size %d reclaimed %d, want 3 and 1", l.Size(), lm.Reclaimed())
+	if l.Size() != 3 || lm.reclaimed != 1 {
+		t.Fatalf("lease size %d reclaimed %d, want 3 and 1", l.Size(), lm.reclaimed)
 	}
-	if reclaimed != nodes[0].Name() {
-		t.Fatalf("reclaim callback got %q, want %q", reclaimed, nodes[0].Name())
+	for _, n := range l.Nodes() {
+		if n == nodes[0] {
+			t.Fatalf("crashed node %s still in the lease", n.Name())
+		}
 	}
 	for _, n := range lm.Free(nodes) {
 		if n == nodes[0] {
@@ -227,8 +227,8 @@ func TestSchedulerRunsStreamToCompletion(t *testing.T) {
 	if s.Admissions() < 3 {
 		t.Fatalf("admissions = %d, want >= 3", s.Admissions())
 	}
-	if s.Leases().LeasedNodes() != 0 {
-		t.Fatalf("leaked %d leased nodes", s.Leases().LeasedNodes())
+	if s.leases.leasedNow != 0 {
+		t.Fatalf("leaked %d leased nodes", s.leases.leasedNow)
 	}
 	if s.Leases().BusyNodeSeconds() <= 0 {
 		t.Fatal("no lease utilization recorded")
@@ -304,8 +304,8 @@ func TestLeaseLossRequeuesJob(t *testing.T) {
 	if job.requeues < 1 {
 		t.Fatalf("requeues = %d, want >= 1", job.requeues)
 	}
-	if s.Leases().Reclaimed() != 4 {
-		t.Fatalf("reclaimed = %d, want 4", s.Leases().Reclaimed())
+	if s.leases.reclaimed != 4 {
+		t.Fatalf("reclaimed = %d, want 4", s.leases.reclaimed)
 	}
 	for _, n := range job.cop.(nodeTracker).CurNodes() {
 		if n.Site().Name == "UTK" {
@@ -314,34 +314,107 @@ func TestLeaseLossRequeuesJob(t *testing.T) {
 	}
 }
 
-// TestContractViolationShrinks: ReportViolation negotiates the running
-// job down to its MinWidth-fastest nodes.
-func TestContractViolationShrinks(t *testing.T) {
-	r := newRig(6)
-	s, err := New(r.config(PolicyPriority))
+// TestPoisonJobQuarantined: a job that loses its whole lease every time it
+// runs is quarantined on its MaxRequeues-th lost lease, not before and not
+// after. Quarantine is terminal and accounted: OnJobDone fires, the
+// job.quarantine event is emitted, and every submitted job ends done,
+// failed or quarantined while the rest of the stream completes.
+func TestPoisonJobQuarantined(t *testing.T) {
+	const maxRequeues = 3
+	r := newRig(5)
+	tel := telemetry.New()
+	buf := telemetry.NewBuffer()
+	tel.AddSink(buf)
+	r.sim.SetTelemetry(tel)
+	cfg := r.config(PolicyFIFO)
+	cfg.MaxRequeues = maxRequeues
+	var retired []string
+	cfg.OnJobDone = func(j *Job) { retired = append(retired, j.Spec.Name) }
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	job := mustSubmit(t, s, farmSpec("farm", 0, 24, 6, 2, 2, 300))
+	poison := mustSubmit(t, s, farmSpec("poison", 0, 400, 4, 4, 2, 300))
+	mustSubmit(t, s, farmSpec("healthy", 0, 8, 4, 2, 1, 300))
 	s.Start()
-	var ordered bool
-	r.sim.At(80, func() { ordered = s.ReportViolation("farm") })
-	r.sim.RunUntil(100000)
 
-	if !ordered {
-		t.Fatal("ReportViolation declined to act")
+	// Twenty seconds into each run, crash every node of the poison job's
+	// lease; the nodes come back five minutes later.
+	losses := 0
+	r.sim.Spawn("saboteur", func(p *simcore.Proc) {
+		for poison.State() != JobQuarantined {
+			if poison.State() != JobRunning {
+				if p.Sleep(1) != nil {
+					return
+				}
+				continue
+			}
+			if p.Sleep(20) != nil {
+				return
+			}
+			if poison.State() != JobRunning {
+				continue
+			}
+			if losses >= maxRequeues {
+				t.Errorf("poison job running after %d lost leases", losses)
+				return
+			}
+			nodes := poison.lease.Nodes()
+			for _, n := range nodes {
+				r.grid.SetNodeDown(n.Name(), true)
+			}
+			losses++
+			r.sim.Schedule(300, func() {
+				for _, n := range nodes {
+					r.grid.SetNodeDown(n.Name(), false)
+				}
+			})
+			// Every lost lease before the cap requeues the job.
+			for poison.State() == JobRunning {
+				if p.Sleep(1) != nil {
+					return
+				}
+			}
+			if want := losses >= maxRequeues; (poison.State() == JobQuarantined) != want {
+				t.Errorf("after %d lost leases the job is %v", losses, poison.State())
+			}
+		}
+	})
+	r.sim.RunUntil(100000)
+	if err := tel.Close(); err != nil {
+		t.Fatalf("telemetry close: %v", err)
 	}
-	if s.Violations() != 1 {
-		t.Fatalf("violations = %d, want 1", s.Violations())
+
+	if poison.State() != JobQuarantined {
+		t.Fatalf("poison job state %v after %d lost leases, want quarantined", poison.State(), losses)
 	}
-	if job.State() != JobDone {
-		t.Fatalf("job state %v (err %v)", job.State(), job.Err())
+	if poison.requeues != maxRequeues || losses != maxRequeues {
+		t.Fatalf("quarantined after %d requeues and %d lost leases, want %d", poison.requeues, losses, maxRequeues)
 	}
-	if job.preemptions < 1 {
-		t.Fatalf("shrinks applied = %d, want >= 1", job.preemptions)
+	if err := poison.Err(); err == nil || !strings.Contains(err.Error(), "quarantined") {
+		t.Fatalf("poison job error %v, want a quarantine error", err)
 	}
-	if s.ReportViolation("farm") {
-		t.Fatal("violation on a finished job acted")
+	if s.Quarantined() != 1 {
+		t.Fatalf("Quarantined() = %d, want 1", s.Quarantined())
+	}
+	if len(retired) != 2 || !strings.Contains(strings.Join(retired, ","), "poison") {
+		t.Fatalf("OnJobDone fired for %v, want both jobs", retired)
+	}
+	events := 0
+	for _, e := range buf.Events() {
+		if e.Type == telemetry.EvJobQuarantine && e.Name == "poison" {
+			events++
+		}
+	}
+	if events != 1 {
+		t.Fatalf("%d job.quarantine events for the poison job, want 1", events)
+	}
+	counts := s.StateCounts()
+	if terminal := counts[JobDone] + counts[JobFailed] + counts[JobQuarantined]; terminal != len(s.Jobs()) {
+		t.Fatalf("state counts %v: %d terminal of %d submitted", counts, terminal, len(s.Jobs()))
+	}
+	if counts[JobDone] != 1 {
+		t.Fatalf("state counts %v, want the healthy job done", counts)
 	}
 }
 

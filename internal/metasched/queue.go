@@ -40,9 +40,7 @@ func ParsePolicy(s string) (Policy, error) {
 
 // bidRank is a job's rank under the priority policies: its bid, with every
 // non-positive bid ranking at zero so those jobs fall back to FIFO order
-// among themselves. The posted spot price is one number shared by every
-// job, so dividing bids by it could never reorder them; the queue ranks by
-// the bid itself and the price is only reported.
+// among themselves.
 func bidRank(j *Job) float64 {
 	if j.Spec.Bid > 0 {
 		return j.Spec.Bid

@@ -89,7 +89,6 @@ const (
 	opBcast
 	opReduce
 	opGather
-	opScatter
 )
 
 // ctlBytes is the size of zero-payload control messages.
@@ -216,39 +215,6 @@ func (c *Comm) Gather(ctx *Ctx, root int, bytes float64, payload any) ([]any, er
 		out[v] = m.Payload
 	}
 	return out, nil
-}
-
-// Scatter distributes payloads[v] (each of the given size) from the root to
-// every member; each member returns its own element. payloads is only read
-// at the root.
-func (c *Comm) Scatter(ctx *Ctx, root int, bytes float64, payloads []any) (any, error) {
-	me := c.mustRank(ctx)
-	tag := c.opTag(opScatter)
-	if me == root {
-		if payloads != nil && len(payloads) != c.Size() {
-			panic("mpi: Scatter payload count != comm size")
-		}
-		var mine any
-		for v := 0; v < c.Size(); v++ {
-			var pv any
-			if payloads != nil {
-				pv = payloads[v]
-			}
-			if v == root {
-				mine = pv
-				continue
-			}
-			if err := ctx.SendPhys(c.phys[v], tag, bytes, pv); err != nil {
-				return nil, err
-			}
-		}
-		return mine, nil
-	}
-	m, err := ctx.RecvPhys(c.phys[root], tag)
-	if err != nil {
-		return nil, err
-	}
-	return m.Payload, nil
 }
 
 // Allgather collects every member's payload everywhere: a gather to virtual

@@ -29,9 +29,6 @@ func (c *Ctx) Proc() *simcore.Proc { return c.proc }
 // Now returns the current virtual time.
 func (c *Ctx) Now() float64 { return c.proc.Now() }
 
-// Profile returns a copy of this process's counters.
-func (c *Ctx) Profile() Profile { return c.rank.prof }
-
 // Compute executes ops floating-point operations on the hosting node's CPU
 // under processor sharing, charging compute time and flops to the profile.
 // On interrupt it returns the cause with the partial work recorded.
@@ -67,7 +64,7 @@ func (c *Ctx) SendPhys(dst, tag int, bytes float64, payload any) error {
 	c.rank.prof.CommTime += c.proc.Now() - start
 	c.rank.prof.BytesSent += bytes
 	c.rank.prof.MsgsSent++
-	w.ranks[dst].box(c.rank.phys, tag).TryPut(Msg{
+	w.ranks[dst].box(c.rank.phys, tag).Put(Msg{
 		Src: c.rank.phys, Tag: tag, Bytes: bytes, Payload: payload,
 	})
 	return nil

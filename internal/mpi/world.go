@@ -223,7 +223,7 @@ func (r *Rank) box(src, tag int) *simcore.Chan {
 	k := boxKey(src, tag)
 	c := r.boxes[k]
 	if c == nil {
-		c = simcore.NewChan(r.world.sim, 0)
+		c = simcore.NewChan(r.world.sim)
 		r.boxes[k] = c
 	}
 	return c
@@ -231,6 +231,3 @@ func (r *Rank) box(src, tag int) *simcore.Chan {
 
 // Profile returns a copy of the rank's counters.
 func (r *Rank) Profile() Profile { return r.prof }
-
-// NodeName returns the name of the node hosting this rank.
-func (r *Rank) NodeName() string { return r.node.Name() }

@@ -89,9 +89,6 @@ func (l *Link) Capacity() float64 { return l.capacity * l.capFactor }
 // including any injected degradation.
 func (l *Link) Latency() float64 { return l.latency * l.latFactor }
 
-// Background returns the current cross-traffic consumption in bytes/s.
-func (l *Link) Background() float64 { return l.background }
-
 // Down reports whether the link is partitioned.
 func (l *Link) Down() bool { return l.down }
 
@@ -183,9 +180,6 @@ func (n *Network) SetReferenceSolver(on bool) {
 	n.realloc.Flush()
 	n.reference = on
 }
-
-// ReferenceSolver reports whether the global reference solver is selected.
-func (n *Network) ReferenceSolver() bool { return n.reference }
 
 // SolverStats returns the number of progressive-filling passes run and the
 // total number of flow rates recomputed across them. Under the incremental
@@ -411,9 +405,6 @@ func (n *Network) emitRealloc(reason string) {
 		},
 	})
 }
-
-// ActiveFlows returns the number of in-progress transfers.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
 
 // BytesMoved returns the cumulative volume of completed transfers.
 func (n *Network) BytesMoved() float64 { return n.bytesMoved }

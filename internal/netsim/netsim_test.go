@@ -132,8 +132,8 @@ func TestInterruptMidTransfer(t *testing.T) {
 	if !almost(moved, 400, 1e-6) {
 		t.Fatalf("moved %v before interrupt, want 400", moved)
 	}
-	if n.ActiveFlows() != 0 {
-		t.Fatalf("flow leaked: %d active", n.ActiveFlows())
+	if len(n.flows) != 0 {
+		t.Fatalf("flow leaked: %d active", len(n.flows))
 	}
 }
 

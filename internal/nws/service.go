@@ -40,7 +40,6 @@ type Service struct {
 
 	health   *faultinject.Health
 	degraded bool // in outage: forecasts serve last-known data
-	missed   int  // measurement rounds skipped during outages
 }
 
 // SetHealth attaches the chaos-layer availability handle. While the service
@@ -49,13 +48,6 @@ type Service struct {
 // capability defaults) — consumers keep working on stale forecasts, exactly
 // the failure mode a real NWS outage produces.
 func (s *Service) SetHealth(h *faultinject.Health) { s.health = h }
-
-// Degraded reports whether the service is currently serving stale
-// (last-known) forecasts because of an outage.
-func (s *Service) Degraded() bool { return s.degraded }
-
-// Missed returns how many measurement rounds outages have suppressed.
-func (s *Service) Missed() int { return s.missed }
 
 // pairKey builds a canonical site-pair key.
 func pairKey(a, b string) string {
@@ -126,7 +118,6 @@ func (s *Service) run(p *simcore.Proc) {
 	for !s.stopped {
 		if s.health.Down() {
 			s.setDegraded(true)
-			s.missed++
 		} else {
 			s.setDegraded(false)
 			if err := s.measure(p); err != nil {
@@ -149,9 +140,7 @@ func (s *Service) setDegraded(d bool) {
 	}
 	s.degraded = d
 	if d {
-		s.sim.Tracef("nws: outage — serving last-known forecasts")
 	} else {
-		s.sim.Tracef("nws: restored — measurements resume")
 	}
 	if tel := s.sim.Telemetry(); tel != nil {
 		tel.Emit(telemetry.Event{
@@ -160,9 +149,6 @@ func (s *Service) setDegraded(d bool) {
 		})
 	}
 }
-
-// Probes returns how many active network probes were sent.
-func (s *Service) Probes() int { return s.probes }
 
 // measure samples every monitored series once. With active probing enabled
 // the calling sensor process pays for the probe transfers.

@@ -107,7 +107,7 @@ func TestActiveProbesMeasureNetwork(t *testing.T) {
 	if math.Abs(lat-0.0102) > 0.002 {
 		t.Fatalf("active latency forecast = %v, want ~0.0102", lat)
 	}
-	if svc.Probes() == 0 {
+	if svc.probes == 0 {
 		t.Fatal("no probes sent in active mode")
 	}
 	// Probe traffic is real: it shows up in the network totals.
@@ -120,7 +120,7 @@ func TestActiveProbesMeasureNetwork(t *testing.T) {
 	g2 := testGrid(sim2)
 	svc2 := Start(sim2, g2, 5)
 	sim2.RunUntil(50)
-	if svc2.Probes() != 0 || g2.Net.BytesMoved() != 0 {
+	if svc2.probes != 0 || g2.Net.BytesMoved() != 0 {
 		t.Fatal("passive mode generated probe traffic")
 	}
 	svc2.Stop()

@@ -61,29 +61,9 @@ func (c *Cache) Store(app, sig string, v float64) {
 	c.m[app+"\x00"+sig] = v
 }
 
-// Memo returns the cached value for (app, sig), computing and storing it on
-// a miss.
-func (c *Cache) Memo(app, sig string, compute func() float64) float64 {
-	if v, ok := c.Lookup(app, sig); ok {
-		return v
-	}
-	v := compute()
-	c.Store(app, sig, v)
-	return v
-}
-
-// Len returns the number of live entries.
-func (c *Cache) Len() int { return len(c.m) }
-
 // Stats returns the lookup hit and miss counts and how many times the cache
 // was cleared on overflow.
 func (c *Cache) Stats() (hits, misses, resets uint64) { return c.hits, c.misses, c.resets }
-
-// Reset drops every entry (the counters survive).
-func (c *Cache) Reset() {
-	clear(c.m)
-	c.resets++
-}
 
 // Sig incrementally builds a cache signature from the inputs of a model
 // evaluation. The zero value is ready to use. Floats are encoded in the

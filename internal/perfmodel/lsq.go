@@ -36,9 +36,6 @@ func (p Poly) Eval(x float64) float64 {
 	return v
 }
 
-// Degree returns the polynomial's degree (-1 for an empty polynomial).
-func (p Poly) Degree() int { return len(p) - 1 }
-
 // ErrBadFit reports an unsolvable least-squares system (too few points or a
 // singular normal matrix).
 var ErrBadFit = errors.New("perfmodel: least-squares system unsolvable")

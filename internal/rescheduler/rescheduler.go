@@ -334,15 +334,6 @@ func NewDaemon(sim *simcore.Sim, resch *Rescheduler, freePool []*topology.Node) 
 // Register adds a running application.
 func (d *Daemon) Register(app *ManagedApp) { d.apps[app.Name] = app }
 
-// Stats returns counters: migration requests served, opportunistic
-// evaluations, migrations performed.
-func (d *Daemon) Stats() (requests, opportunistic, migrations int) {
-	return d.requests, d.opportunistic, d.migrations
-}
-
-// FreePool returns the current free nodes.
-func (d *Daemon) FreePool() []*topology.Node { return d.pool }
-
 // RequestMigration serves a contract-monitor violation for one application
 // ("migration on request"). It returns the decision; when the decision is
 // to migrate and the app's OnMigrate succeeds, the node bookkeeping moves

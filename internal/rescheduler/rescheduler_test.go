@@ -181,12 +181,12 @@ func TestDaemonMigrationOnRequest(t *testing.T) {
 	if !dec.Migrate || !migrated {
 		t.Fatalf("daemon did not migrate: %+v", dec)
 	}
-	reqs, _, migs := d.Stats()
+	reqs, migs := d.requests, d.migrations
 	if reqs != 1 || migs != 1 {
 		t.Fatalf("stats = %d reqs, %d migs", reqs, migs)
 	}
 	// The pool now holds the freed UTK nodes, not the UIUC ones.
-	for _, n := range d.FreePool() {
+	for _, n := range d.pool {
 		if n.Site().Name == "UIUC" {
 			t.Fatalf("UIUC node %s still in pool after migration", n.Name())
 		}
@@ -218,7 +218,7 @@ func TestDaemonOpportunistic(t *testing.T) {
 	if migratedTo != "UTK" {
 		t.Fatalf("opportunistic migration went to %q, want UTK", migratedTo)
 	}
-	_, opp, migs := d.Stats()
+	opp, migs := d.opportunistic, d.migrations
 	if opp != 1 || migs != 1 {
 		t.Fatalf("stats: opportunistic=%d migrations=%d", opp, migs)
 	}

@@ -111,12 +111,6 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Opens returns how many times the breaker has tripped open.
-func (b *Breaker) Opens() int { return b.opens }
-
-// FastFails returns how many calls the breaker rejected without invoking.
-func (b *Breaker) FastFails() int { return b.fastFails }
-
 // Allow reports whether a call may proceed now. In the open state it fails
 // fast until the cooldown elapses, then transitions to half-open and
 // admits up to HalfOpenProbes probes.
@@ -189,7 +183,6 @@ func (b *Breaker) trip() {
 func (b *Breaker) transition(to BreakerState) {
 	from := b.state
 	b.state = to
-	b.sim.Tracef("resilience: breaker %s %s -> %s", b.service, from, to)
 	if tel := b.sim.Telemetry(); tel != nil {
 		if to == BreakerOpen {
 			tel.Counter("resilience", "breaker_opens").Inc()

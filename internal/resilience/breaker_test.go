@@ -123,8 +123,8 @@ func TestBreakerCounters(t *testing.T) {
 	sim.RunUntil(5)
 	b.Allow()
 	b.Record(errDown) // probe fails: trip 2
-	if b.Opens() != 2 || b.FastFails() != 2 {
-		t.Fatalf("opens=%d fastFails=%d, want 2/2", b.Opens(), b.FastFails())
+	if b.opens != 2 || b.fastFails != 2 {
+		t.Fatalf("opens=%d fastFails=%d, want 2/2", b.opens, b.fastFails)
 	}
 }
 
@@ -219,8 +219,8 @@ func TestBudgetTable(t *testing.T) {
 		if more != tc.wantMore {
 			t.Fatalf("%s: %d of %d post-refill takes granted, want %d", tc.name, more, tc.moreTakes, tc.wantMore)
 		}
-		if b.Taken() != grants+more || b.Denied() != (tc.takes-grants)+(tc.moreTakes-more) {
-			t.Fatalf("%s: taken=%d denied=%d inconsistent with grant history", tc.name, b.Taken(), b.Denied())
+		if b.taken != grants+more || b.denied != (tc.takes-grants)+(tc.moreTakes-more) {
+			t.Fatalf("%s: taken=%d denied=%d inconsistent with grant history", tc.name, b.taken, b.denied)
 		}
 	}
 }
@@ -249,7 +249,7 @@ func TestRetrierGuards(t *testing.T) {
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("final error %v should surface the open circuit", err)
 	}
-	if got := r.Breakers().For("gis").Opens(); got != 1 {
+	if got := r.Breakers().For("gis").opens; got != 1 {
 		t.Fatalf("breaker opens = %d, want 1", got)
 	}
 	if fb := r.Breakers().FastFails(); fb != 4 {
@@ -271,9 +271,9 @@ func TestRetrierGuards(t *testing.T) {
 	if calls2 != 2 {
 		t.Fatalf("service invoked %d times, want 2 (budget denies the rest)", calls2)
 	}
-	if err2 == nil || r2.Budgets().For("ibp").Denied() != 1 {
+	if err2 == nil || r2.Budgets().For("ibp").denied != 1 {
 		t.Fatalf("err=%v denied=%d, want budget-exhausted failure after 1 denial",
-			err2, r2.Budgets().For("ibp").Denied())
+			err2, r2.Budgets().For("ibp").denied)
 	}
 }
 

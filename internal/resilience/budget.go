@@ -78,31 +78,6 @@ func (b *Budget) TryTake() bool {
 	return true
 }
 
-// Tokens returns the current token level (after refill).
-func (b *Budget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.refill()
-	return b.tokens
-}
-
-// Taken returns how many retries the budget has granted.
-func (b *Budget) Taken() int {
-	if b == nil {
-		return 0
-	}
-	return b.taken
-}
-
-// Denied returns how many retries the budget has refused.
-func (b *Budget) Denied() int {
-	if b == nil {
-		return 0
-	}
-	return b.denied
-}
-
 // BudgetSet holds one token bucket per service, created full on first use.
 // The budget is shared by every caller retrying against that service —
 // that sharing is the point: it converts N independent retry loops into

@@ -15,9 +15,6 @@ type Deadline struct {
 // NoDeadline is the unbounded deadline.
 var NoDeadline = Deadline{}
 
-// DeadlineAt returns a deadline expiring at absolute virtual time t.
-func DeadlineAt(t float64) Deadline { return Deadline{at: t} }
-
 // DeadlineAfter returns a deadline expiring budget seconds after now. A
 // non-positive budget yields no deadline.
 func DeadlineAfter(now, budget float64) Deadline {
@@ -36,18 +33,6 @@ func (d Deadline) At() float64 {
 		return math.Inf(1)
 	}
 	return d.at
-}
-
-// Remaining returns the budget left at virtual time now (+Inf when
-// unbounded; never negative).
-func (d Deadline) Remaining(now float64) float64 {
-	if !d.Set() {
-		return math.Inf(1)
-	}
-	if d.at <= now {
-		return 0
-	}
-	return d.at - now
 }
 
 // Expired reports whether the deadline has passed at virtual time now.

@@ -65,9 +65,6 @@ func (d *Detector) OnRecovery(fn func(node string, at float64)) { d.onRecovery =
 // Suspects returns how many failure suspicions the detector has raised.
 func (d *Detector) Suspects() int { return d.suspects }
 
-// Suspected reports whether the node is currently suspected down.
-func (d *Detector) Suspected(node string) bool { return d.suspected[node] }
-
 // SuspectedCount returns how many watched nodes are currently suspected
 // down — the detector-storm signal that brownout admission shedding keys
 // on.
@@ -106,7 +103,6 @@ func (d *Detector) sweep() {
 		case down && !d.suspected[name]:
 			d.suspected[name] = true
 			d.suspects++
-			d.sim.Tracef("detector: suspect %s (missed heartbeat)", name)
 			if tel := d.sim.Telemetry(); tel != nil {
 				tel.Counter("detector", "suspects").Inc()
 				tel.Emit(telemetry.Event{
@@ -119,7 +115,6 @@ func (d *Detector) sweep() {
 			}
 		case !down && d.suspected[name]:
 			delete(d.suspected, name)
-			d.sim.Tracef("detector: %s answering again", name)
 			if tel := d.sim.Telemetry(); tel != nil {
 				tel.Emit(telemetry.Event{
 					Type: telemetry.EvDetectorSuspect, Comp: "detector", Name: name,

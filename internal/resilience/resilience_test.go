@@ -203,7 +203,7 @@ func TestDetectorTransitions(t *testing.T) {
 	if d.Suspects() != 2 {
 		t.Fatalf("suspects=%d, want 2", d.Suspects())
 	}
-	if !d.Suspected("a1") || d.Suspected("a2") {
+	if !d.suspected["a1"] || d.suspected["a2"] {
 		t.Fatal("suspicion state wrong after the run")
 	}
 }
@@ -225,13 +225,13 @@ func TestDetectorFlappingHeartbeats(t *testing.T) {
 	}
 	var fired []firing
 	d.OnFailure(func(n string, at float64) {
-		if d.Suspected(n) != true {
+		if d.suspected[n] != true {
 			t.Errorf("OnFailure(%s) fired without the node marked suspected", n)
 		}
 		fired = append(fired, firing{n, true, at})
 	})
 	d.OnRecovery(func(n string, at float64) {
-		if d.Suspected(n) {
+		if d.suspected[n] {
 			t.Errorf("OnRecovery(%s) fired with the suspicion still set", n)
 		}
 		fired = append(fired, firing{n, false, at})
@@ -271,7 +271,7 @@ func TestDetectorFlappingHeartbeats(t *testing.T) {
 	if d.Suspects() != 2 {
 		t.Fatalf("suspects=%d, want one per down phase", d.Suspects())
 	}
-	if d.Suspected("a1") || d.Suspected("a2") {
+	if d.suspected["a1"] || d.suspected["a2"] {
 		t.Fatal("no node should end the run suspected")
 	}
 }

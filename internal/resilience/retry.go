@@ -102,9 +102,6 @@ func NewRetrier(sim *simcore.Sim, policy Policy, rng *rand.Rand) *Retrier {
 	return &Retrier{sim: sim, policy: policy, rng: rng}
 }
 
-// Policy returns the retrier's policy.
-func (r *Retrier) Policy() Policy { return r.policy }
-
 // SetGuards installs the recovery control plane around the retrier's
 // calls: breakers trip per service after consecutive failures and fail
 // subsequent calls fast; budgets spend one token per retry so callers
@@ -214,7 +211,6 @@ func (r *Retrier) DoUntil(p *simcore.Proc, op string, dl Deadline, call func() e
 				},
 			})
 		}
-		r.sim.Tracef("resilience: %s attempt %d failed (%v), retrying in %.3fs", op, attempt, err, wait)
 		if serr := p.Sleep(wait); serr != nil {
 			return serr // interrupted while backing off: surface the interrupt
 		}

@@ -102,10 +102,6 @@ type Site struct {
 // cluster runs if the site can receive messages.
 func (s *Site) OnMessage(h Handler) { s.handler = h }
 
-// Tracing reports whether the site collects trace events (Config.Trace).
-// Scenario hot paths guard event construction with it.
-func (s *Site) Tracing() bool { return s.buf != nil }
-
 // Emit publishes a trace event through the site's hub when tracing is on
 // (a no-op otherwise, so benchmark runs skip the sink entirely). The hub
 // stamps the event with the shard kernel's virtual time and the site-local
@@ -312,19 +308,12 @@ func (c *Cluster) Finalize() {
 // Sites returns the cluster's sites in index order.
 func (c *Cluster) Sites() []*Site { return c.sites }
 
-// Site returns the site at index i.
-func (c *Cluster) Site(i int) *Site { return c.sites[i] }
-
 // Shards returns the effective shard count after Finalize.
 func (c *Cluster) Shards() int { return len(c.shards) }
 
 // ForcedOracle reports whether zero lookahead forced the single-kernel
 // oracle path regardless of the requested shard count.
 func (c *Cluster) ForcedOracle() bool { return c.forcedOracle }
-
-// MinLookahead returns the conservative lookahead: the minimum WAN latency
-// over all connected pairs.
-func (c *Cluster) MinLookahead() float64 { return c.minLA }
 
 // Rounds returns the number of barrier rounds executed so far.
 func (c *Cluster) Rounds() uint64 { return c.rounds }

@@ -309,7 +309,7 @@ func newSiteState(s *Site, cfg ScenarioConfig) *siteState {
 		down:    make([]bool, cfg.NodesPerSite),
 		running: make([]int64, cfg.NodesPerSite),
 		doneEv:  make([]simcore.Event, cfg.NodesPerSite),
-		stageCh: simcore.NewChan(s.Sim, 0),
+		stageCh: simcore.NewChan(s.Sim),
 		jobWork: make([]float64, cfg.Jobs),
 		tokens:  cfg.BrokerTokens,
 	}
@@ -338,7 +338,7 @@ func (st *siteState) install() {
 		s.Sim.At(at, func() {
 			s.Emit(telemetry.Event{Type: telemetry.EvJobSubmit, Comp: "shardjob", Name: s.Name,
 				Args: []telemetry.Arg{telemetry.I("job", int(job))}})
-			st.stageCh.TryPut(job)
+			st.stageCh.Put(job)
 		})
 	}
 
@@ -443,7 +443,7 @@ func (st *siteState) stagerBody(p *simcore.Proc) {
 		st.staged++
 		if st.staged == cfg.Jobs {
 			for w := 0; w < cfg.Stagers; w++ {
-				st.stageCh.TryPut(int64(-1))
+				st.stageCh.Put(int64(-1))
 			}
 		}
 	}

@@ -95,7 +95,7 @@ func TestZeroLookaheadForcesOracle(t *testing.T) {
 		s := s
 		s.OnMessage(func(s *Site, m Message) { got = append(got, m.A) })
 	}
-	sa := c.Site(a)
+	sa := c.sites[a]
 	sa.Sim.At(1, func() { sa.Send(b, 1, 7, 0, 0, 0) })
 	c.Run()
 	if len(got) != 1 || got[0] != 7 {
@@ -131,7 +131,7 @@ func TestSameInstantCrossShard(t *testing.T) {
 		// delivery instant 1.010. Each also sends a second message (higher
 		// send-seq) at the same instant.
 		for i := 0; i < n-1; i++ {
-			s := c.Site(i)
+			s := c.sites[i]
 			id := int64(i)
 			s.Sim.At(1, func() {
 				s.Send(n-1, 1, id*10, 0, 0, 0)
@@ -176,7 +176,7 @@ func TestIdleShardAdvances(t *testing.T) {
 				}
 			})
 		}
-		sa := c.Site(a)
+		sa := c.sites[a]
 		// The busy site churns locally for a while, then messages the idle one.
 		for i := 1; i <= 100; i++ {
 			sa.Sim.At(float64(i)*0.5, func() {})

@@ -45,9 +45,6 @@ func (c *Coalescer) fire() {
 	c.fn()
 }
 
-// Pending reports whether a coalesced run is scheduled and has not fired yet.
-func (c *Coalescer) Pending() bool { return c.ev.Live() }
-
 // Flush runs the callback synchronously if a run is pending, canceling the
 // scheduled event; it is a no-op otherwise. Readers that need the deferred
 // state to be current (probes, snapshots) call Flush before looking.
@@ -59,8 +56,3 @@ func (c *Coalescer) Flush() {
 	c.fired++
 	c.fn()
 }
-
-// Stats returns the number of Trigger calls absorbed and the number of
-// callback runs actually performed. The difference is the work saved by
-// batching.
-func (c *Coalescer) Stats() (triggers, runs uint64) { return c.calls, c.fired }

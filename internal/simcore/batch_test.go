@@ -23,7 +23,7 @@ func TestCoalescerBatchesSameInstantTriggers(t *testing.T) {
 	if at[0] != 0 || at[1] != 5 {
 		t.Fatalf("callback fired at %v, want [0 5]", at)
 	}
-	if trig, fired := c.Stats(); trig != 5 || fired != 2 {
+	if trig, fired := c.calls, c.fired; trig != 5 || fired != 2 {
 		t.Fatalf("Stats = (%d, %d), want (5, 2)", trig, fired)
 	}
 }
@@ -55,14 +55,14 @@ func TestCoalescerFlushForcesPendingRun(t *testing.T) {
 	c := NewCoalescer(s, func() { runs++ })
 	s.Schedule(2, func() {
 		c.Trigger()
-		if !c.Pending() {
+		if !c.ev.Live() {
 			t.Error("Pending = false after Trigger")
 		}
 		c.Flush()
 		if runs != 1 {
 			t.Errorf("Flush did not run callback (runs=%d)", runs)
 		}
-		if c.Pending() {
+		if c.ev.Live() {
 			t.Error("Pending = true after Flush")
 		}
 		c.Flush() // no-op: nothing pending

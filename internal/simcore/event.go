@@ -38,11 +38,6 @@ func (e Event) Live() bool {
 	return sl.gen == e.gen && !sl.canceled
 }
 
-// Canceled reports whether the event will never fire through this handle:
-// it was canceled, or it already fired and its slot was recycled. A live
-// (still pending) event reports false.
-func (e Event) Canceled() bool { return !e.Live() }
-
 // Cancel prevents the event from firing. Canceling an event that already
 // fired, was already canceled, or whose slot has been recycled for a newer
 // event is a safe no-op.
@@ -99,7 +94,7 @@ func (a heapEntry) before(b heapEntry) bool {
 
 // eventQueue is the allocation-free priority queue: a 4-ary min-heap of
 // (time, seq) keys over an index-stable slot arena with a free list. live
-// counts scheduled, non-canceled events so PendingEvents is O(1).
+// counts scheduled, non-canceled events so the live count is O(1).
 type eventQueue struct {
 	slots []eventSlot
 	free  []int32

@@ -2,7 +2,6 @@ package simcore
 
 import (
 	"errors"
-	"fmt"
 
 	"grads/internal/telemetry"
 )
@@ -134,9 +133,6 @@ func (p *Proc) park() error {
 	return err
 }
 
-// Sim returns the simulation this process belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.sim.now }
 
@@ -215,6 +211,3 @@ func (p *Proc) Resume(cause error) {
 	p.unblock = nil
 	p.run(cause)
 }
-
-// String implements fmt.Stringer.
-func (p *Proc) String() string { return fmt.Sprintf("proc(%d,%s)", p.id, p.name) }

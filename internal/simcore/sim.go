@@ -10,7 +10,6 @@
 package simcore
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -31,7 +30,6 @@ type Sim struct {
 	liveProcs  map[int]*Proc
 
 	stopped bool
-	tracer  func(t float64, msg string)
 
 	// Telemetry. tel is nil when observability is off; the cached metric
 	// handles below are nil then too, making every instrumentation site a
@@ -57,10 +55,6 @@ func (s *Sim) Now() float64 { return s.now }
 // Rand returns the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// SetTracer installs a trace sink called by Tracef. A nil sink disables
-// tracing (the default).
-func (s *Sim) SetTracer(fn func(t float64, msg string)) { s.tracer = fn }
-
 // SetTelemetry attaches an observability hub to the kernel: its clock is
 // bound to this simulation's virtual time and the kernel begins publishing
 // its own counters (events fired, processes spawned, context switches) and
@@ -81,13 +75,6 @@ func (s *Sim) SetTelemetry(tel *telemetry.Telemetry) {
 // Telemetry returns the attached hub, or nil. Components built over the
 // kernel use this to reach the simulation's observability layer.
 func (s *Sim) Telemetry() *telemetry.Telemetry { return s.tel }
-
-// Tracef emits a trace line to the installed tracer, if any.
-func (s *Sim) Tracef(format string, args ...any) {
-	if s.tracer != nil {
-		s.tracer(s.now, fmt.Sprintf(format, args...))
-	}
-}
 
 // Schedule runs fn after delay seconds of virtual time and returns the
 // scheduled event, which may be canceled. A negative delay is treated as 0.
@@ -216,10 +203,6 @@ func (s *Sim) Step() bool {
 // harnesses use it to size fault schedules in kernel events rather than
 // virtual seconds.
 func (s *Sim) EventsFired() uint64 { return s.fired }
-
-// PendingEvents returns the number of live (non-canceled) scheduled events.
-// It is O(1): the queue maintains the count across push, fire and cancel.
-func (s *Sim) PendingEvents() int { return s.q.live }
 
 // LiveProcs returns the names of processes that have been spawned and have
 // not yet terminated, sorted for determinism. It is a debugging aid for

@@ -47,8 +47,8 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if e.Live() {
+		t.Fatal("event still live after Cancel")
 	}
 }
 
@@ -138,8 +138,8 @@ func TestProcInterrupt(t *testing.T) {
 	if when != 5 {
 		t.Fatalf("woke at %v, want 5", when)
 	}
-	if s.PendingEvents() != 0 {
-		t.Fatalf("stale wakeup event left behind: %d pending", s.PendingEvents())
+	if s.q.live != 0 {
+		t.Fatalf("stale wakeup event left behind: %d pending", s.q.live)
 	}
 }
 
@@ -201,38 +201,9 @@ func TestSignalFireAndBroadcast(t *testing.T) {
 	}
 }
 
-func TestSignalWaitTimeout(t *testing.T) {
-	s := New(1)
-	sig := NewSignal(s)
-	var timedOut, gotIt bool
-	s.Spawn("t1", func(p *Proc) {
-		woken, err := sig.WaitTimeout(p, 2.0)
-		if err != nil {
-			t.Errorf("WaitTimeout: %v", err)
-		}
-		timedOut = !woken
-	})
-	s.Spawn("t2", func(p *Proc) {
-		p.Sleep(3) // miss the first waiter's window
-		woken, err := sig.WaitTimeout(p, 10.0)
-		if err != nil {
-			t.Errorf("WaitTimeout: %v", err)
-		}
-		gotIt = woken
-	})
-	s.Schedule(4, func() { sig.Fire() })
-	s.Run()
-	if !timedOut {
-		t.Fatal("first waiter should have timed out")
-	}
-	if !gotIt {
-		t.Fatal("second waiter should have been woken before timeout")
-	}
-}
-
 func TestChanPutGet(t *testing.T) {
 	s := New(1)
-	c := NewChan(s, 0)
+	c := NewChan(s)
 	var got []int
 	s.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -247,9 +218,7 @@ func TestChanPutGet(t *testing.T) {
 	s.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(1)
-			if err := c.Put(p, i); err != nil {
-				t.Errorf("Put: %v", err)
-			}
+			c.Put(i)
 		}
 	})
 	s.Run()
@@ -263,60 +232,9 @@ func TestChanPutGet(t *testing.T) {
 	}
 }
 
-func TestChanBoundedBlocksPutter(t *testing.T) {
-	s := New(1)
-	c := NewChan(s, 2)
-	var putDone float64 = -1
-	s.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			if err := c.Put(p, i); err != nil {
-				t.Errorf("Put: %v", err)
-			}
-		}
-		putDone = p.Now()
-	})
-	s.Spawn("consumer", func(p *Proc) {
-		p.Sleep(5)
-		if _, err := c.Get(p); err != nil {
-			t.Errorf("Get: %v", err)
-		}
-	})
-	s.Run()
-	if putDone != 5 {
-		t.Fatalf("third Put completed at %v, want 5 (after a Get freed space)", putDone)
-	}
-}
-
-func TestChanGetTimeout(t *testing.T) {
-	s := New(1)
-	c := NewChan(s, 0)
-	var firstOK, secondOK bool
-	var firstT float64
-	s.Spawn("consumer", func(p *Proc) {
-		_, ok, err := c.GetTimeout(p, 2)
-		if err != nil {
-			t.Errorf("GetTimeout: %v", err)
-		}
-		firstOK, firstT = ok, p.Now()
-		v, ok, err := c.GetTimeout(p, 10)
-		if err != nil {
-			t.Errorf("GetTimeout: %v", err)
-		}
-		secondOK = ok && v.(int) == 42
-	})
-	s.Schedule(3, func() { c.TryPut(42) })
-	s.Run()
-	if firstOK || firstT != 2 {
-		t.Fatalf("first GetTimeout ok=%v t=%v, want timeout at 2", firstOK, firstT)
-	}
-	if !secondOK {
-		t.Fatal("second GetTimeout should have received 42")
-	}
-}
-
 func TestChanInterruptWhileBlocked(t *testing.T) {
 	s := New(1)
-	c := NewChan(s, 0)
+	c := NewChan(s)
 	var got error
 	p := s.Spawn("consumer", func(p *Proc) {
 		_, err := c.Get(p)
@@ -326,34 +244,6 @@ func TestChanInterruptWhileBlocked(t *testing.T) {
 	s.Run()
 	if !errors.Is(got, ErrKilled) {
 		t.Fatalf("Get returned %v, want ErrKilled", got)
-	}
-}
-
-func TestSemaphoreFIFO(t *testing.T) {
-	s := New(1)
-	sem := NewSemaphore(s, 2)
-	var order []string
-	work := func(name string, hold float64) func(*Proc) {
-		return func(p *Proc) {
-			if err := sem.Acquire(p); err != nil {
-				t.Errorf("Acquire: %v", err)
-				return
-			}
-			order = append(order, name)
-			p.Sleep(hold)
-			sem.Release()
-		}
-	}
-	s.Spawn("a", work("a", 10))
-	s.Spawn("b", work("b", 10))
-	s.Spawn("c", work("c", 1))
-	s.Spawn("d", work("d", 1))
-	s.Run()
-	if len(order) != 4 || order[2] != "c" || order[3] != "d" {
-		t.Fatalf("grant order %v, want [a b c d]", order)
-	}
-	if sem.Available() != 2 {
-		t.Fatalf("permits leaked: %d available, want 2", sem.Available())
 	}
 }
 
@@ -402,37 +292,6 @@ func TestQuickEventOrdering(t *testing.T) {
 		return sort.Float64sAreSorted(fired) && len(fired) == len(delays)
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(11))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a semaphore with n permits never admits more than n holders.
-func TestQuickSemaphoreBound(t *testing.T) {
-	f := func(permits uint8, procs uint8) bool {
-		n := int(permits%4) + 1
-		m := int(procs%16) + 1
-		s := New(3)
-		sem := NewSemaphore(s, n)
-		holding, maxHolding := 0, 0
-		for i := 0; i < m; i++ {
-			s.Spawn("w", func(p *Proc) {
-				if sem.Acquire(p) != nil {
-					return
-				}
-				holding++
-				if holding > maxHolding {
-					maxHolding = holding
-				}
-				p.Sleep(s.Rand().Float64())
-				holding--
-				sem.Release()
-			})
-		}
-		s.Run()
-		return maxHolding <= n
-	}
-	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(12))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -32,17 +32,6 @@ func (q *waitQueue) popLive() *waiter {
 	return nil
 }
 
-// len reports the number of live waiters.
-func (q *waitQueue) len() int {
-	n := 0
-	for _, w := range q.ws {
-		if !w.removed {
-			n++
-		}
-	}
-	return n
-}
-
 // Signal is a broadcast/wakeup condition for simulated processes.
 // The zero value is not usable; create one with NewSignal.
 type Signal struct {
@@ -59,25 +48,6 @@ func (g *Signal) Wait(p *Proc) error {
 	w := g.q.add(p)
 	p.unblock = func() { w.removed = true }
 	return p.park()
-}
-
-// WaitTimeout parks the calling process until a wakeup or until timeout
-// seconds elapse. It reports whether the wakeup arrived before the timeout;
-// err carries the interrupt cause, if any.
-func (g *Signal) WaitTimeout(p *Proc, timeout float64) (woken bool, err error) {
-	w := g.q.add(p)
-	fired := false
-	ev := g.sim.Schedule(timeout, func() {
-		if !w.removed {
-			w.removed = true
-			fired = true
-			p.run(nil)
-		}
-	})
-	p.unblock = func() { w.removed = true; ev.Cancel() }
-	err = p.park()
-	ev.Cancel()
-	return err == nil && !fired, err
 }
 
 // Fire wakes the longest-waiting process, if any, and reports whether one
@@ -104,56 +74,22 @@ func (g *Signal) Broadcast() int {
 	return n
 }
 
-// Waiters returns the number of processes currently parked on the signal.
-func (g *Signal) Waiters() int { return g.q.len() }
-
-// Chan is a FIFO message queue for simulated processes, analogous to a Go
-// channel with capacity cap (0 means unbounded). Delivery is instantaneous
-// in virtual time; transport costs are modeled by higher layers.
+// Chan is an unbounded FIFO message queue for simulated processes.
+// Delivery is instantaneous in virtual time; transport costs are modeled by
+// higher layers.
 type Chan struct {
 	sim     *Sim
-	cap     int // 0 = unbounded
 	buf     []any
 	getters waitQueue
-	putters waitQueue
-	closed  bool
 }
 
-// NewChan creates a message queue. capacity <= 0 means unbounded.
-func NewChan(sim *Sim, capacity int) *Chan {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Chan{sim: sim, cap: capacity}
-}
+// NewChan creates a message queue.
+func NewChan(sim *Sim) *Chan { return &Chan{sim: sim} }
 
-// Len returns the number of buffered messages.
-func (c *Chan) Len() int { return len(c.buf) }
-
-// Put appends v, blocking while the queue is at capacity. It returns the
-// interrupt cause if the caller was interrupted while blocked.
-func (c *Chan) Put(p *Proc, v any) error {
-	for c.cap > 0 && len(c.buf) >= c.cap {
-		w := c.putters.add(p)
-		p.unblock = func() { w.removed = true }
-		if err := p.park(); err != nil {
-			return err
-		}
-	}
+// Put appends v without blocking and wakes the longest-waiting getter.
+func (c *Chan) Put(v any) {
 	c.buf = append(c.buf, v)
 	c.wakeGetter()
-	return nil
-}
-
-// TryPut appends v without blocking; it reports whether the value was
-// accepted (false only for a full bounded queue).
-func (c *Chan) TryPut(v any) bool {
-	if c.cap > 0 && len(c.buf) >= c.cap {
-		return false
-	}
-	c.buf = append(c.buf, v)
-	c.wakeGetter()
-	return true
 }
 
 // Get removes and returns the head message, blocking while the queue is
@@ -168,42 +104,7 @@ func (c *Chan) Get(p *Proc) (any, error) {
 	}
 	v := c.buf[0]
 	c.buf = c.buf[1:]
-	c.wakePutter()
 	return v, nil
-}
-
-// GetTimeout is Get with a timeout in seconds. ok is false if the timeout
-// expired (or the caller was interrupted) before a message arrived.
-func (c *Chan) GetTimeout(p *Proc, timeout float64) (v any, ok bool, err error) {
-	deadline := c.sim.now + timeout
-	for len(c.buf) == 0 {
-		remain := deadline - c.sim.now
-		if remain <= 0 {
-			return nil, false, nil
-		}
-		w := c.getters.add(p)
-		fired := false
-		ev := c.sim.Schedule(remain, func() {
-			if !w.removed {
-				w.removed = true
-				fired = true
-				p.run(nil)
-			}
-		})
-		p.unblock = func() { w.removed = true; ev.Cancel() }
-		err := p.park()
-		ev.Cancel()
-		if err != nil {
-			return nil, false, err
-		}
-		if fired && len(c.buf) == 0 {
-			return nil, false, nil
-		}
-	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
-	c.wakePutter()
-	return v, true, nil
 }
 
 func (c *Chan) wakeGetter() {
@@ -211,50 +112,5 @@ func (c *Chan) wakeGetter() {
 		w.removed = true
 		w.p.unblock = nil
 		c.sim.scheduleAt(c.sim.now, nil, w.p)
-	}
-}
-
-func (c *Chan) wakePutter() {
-	if w := c.putters.popLive(); w != nil {
-		w.removed = true
-		w.p.unblock = nil
-		c.sim.scheduleAt(c.sim.now, nil, w.p)
-	}
-}
-
-// Semaphore is a counting semaphore with FIFO grant order.
-type Semaphore struct {
-	sim   *Sim
-	avail int
-	q     waitQueue
-}
-
-// NewSemaphore creates a semaphore with n initial permits.
-func NewSemaphore(sim *Sim, n int) *Semaphore { return &Semaphore{sim: sim, avail: n} }
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Acquire takes one permit, blocking until one is free. It returns the
-// interrupt cause if the caller was interrupted while blocked.
-func (s *Semaphore) Acquire(p *Proc) error {
-	for s.avail == 0 {
-		w := s.q.add(p)
-		p.unblock = func() { w.removed = true }
-		if err := p.park(); err != nil {
-			return err
-		}
-	}
-	s.avail--
-	return nil
-}
-
-// Release returns one permit and wakes the longest waiter, if any.
-func (s *Semaphore) Release() {
-	s.avail++
-	if w := s.q.popLive(); w != nil {
-		w.removed = true
-		w.p.unblock = nil
-		s.sim.scheduleAt(s.sim.now, nil, w.p)
 	}
 }

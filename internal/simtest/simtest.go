@@ -135,8 +135,6 @@ type Violation struct {
 	Detail    string
 }
 
-func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
-
 // CheckMaxMin validates the defining properties of a max-min fair
 // allocation over the given flow snapshot:
 //

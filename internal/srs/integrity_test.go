@@ -112,7 +112,7 @@ func TestUncommittedUnverifiableRestartsFromScratch(t *testing.T) {
 	r.sim.Spawn("driver", func(p *simcore.Proc) {
 		// Single-round caller: stores but never commits an epoch.
 		storeRound(p, r, a1, "w", "k", 1e7)
-		r.rss.SetResumeMarker(7)
+		r.rss.resumeMarker = 7
 		intactMarker, intactOK = r.rss.PlanRestore()
 
 		// Both copies rot. The legacy path must refuse to resume rather

@@ -70,7 +70,7 @@ func TestRestoreFallsBackToReplicaWhenPrimaryDown(t *testing.T) {
 
 func TestRestoreFailsWithoutReplication(t *testing.T) {
 	r := newRig()
-	r.rss.SetReplication(false)
+	r.rss.replicate = false
 	storeOne(t, r, "k0", 1e7)
 	if c := r.rss.Checkpoints()[0]; c.Replica != nil {
 		t.Fatal("replica created with replication off")

@@ -54,9 +54,9 @@ type epochRec struct {
 	keys   []string // sorted
 }
 
-// DefaultKeepGenerations is how many committed checkpoint generations the
+// keepGenerations is how many committed checkpoint generations the
 // RSS retains per key: the current one plus one fallback.
-const DefaultKeepGenerations = 2
+const keepGenerations = 2
 
 // RSS is the Runtime Support System daemon state. It is created where the
 // user invokes the application manager, before the application starts, and
@@ -76,12 +76,10 @@ type RSS struct {
 
 	writeEpoch   int              // epoch being written (sealed by Commit)
 	epochs       map[int]epochRec // sealed rounds within the keep window
-	keepGens     int
-	restoreEpoch int // epoch chosen by PlanRestore; 0 = newest-per-key
+	restoreEpoch int              // epoch chosen by PlanRestore; 0 = newest-per-key
 
-	replicate     bool
-	retrier       *resilience.Retrier
-	restoreBudget float64 // shared deadline over one restore's hops (0 = none)
+	replicate bool // buddy-depot copy of every checkpoint; tests turn it off to show what it buys
+	retrier   *resilience.Retrier
 
 	corruptDetected int // blobs that failed verification and were skipped
 	corruptServed   int // reads that returned bytes failing post-read verify (must stay 0)
@@ -89,7 +87,7 @@ type RSS struct {
 }
 
 // NewRSS creates the RSS daemon for one application execution. Checkpoint
-// replication to a buddy depot is on by default (see SetReplication).
+// replication to a buddy depot is on.
 func NewRSS(sim *simcore.Sim, storage *ibp.System, appName string) *RSS {
 	return &RSS{
 		sim:        sim,
@@ -100,34 +98,13 @@ func NewRSS(sim *simcore.Sim, storage *ibp.System, appName string) *RSS {
 		replicate:  true,
 		writeEpoch: 1,
 		epochs:     make(map[int]epochRec),
-		keepGens:   DefaultKeepGenerations,
 	}
 }
-
-// SetReplication enables or disables the buddy-depot copy of every
-// checkpoint. Without replication a crash of a node holding checkpoint
-// data makes the data unreachable and recovery from that crash impossible.
-func (r *RSS) SetReplication(on bool) { r.replicate = on }
 
 // SetRetrier installs a retry policy around the RSS's IBP operations, so
 // transient storage-service outages stall checkpoints instead of failing
 // the application.
 func (r *RSS) SetRetrier(rt *resilience.Retrier) { r.retrier = rt }
-
-// SetRestoreBudget bounds one restore (all of a rank's checkpoint reads
-// together) to seconds of virtual time: the deadline propagates across
-// every hop of the multi-blob read instead of granting each blob a fresh
-// timeout. Non-positive disables the bound (the default).
-func (r *RSS) SetRestoreBudget(seconds float64) { r.restoreBudget = seconds }
-
-// SetKeepGenerations sets how many committed checkpoint generations are
-// retained for lineage fallback (minimum 1; default 2).
-func (r *RSS) SetKeepGenerations(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.keepGens = n
-}
 
 // CorruptDetected returns how many checkpoint blobs failed checksum
 // verification and were skipped in favor of a replica or older generation.
@@ -164,10 +141,6 @@ func (r *RSS) StopRequested() bool { return r.stopRequested }
 
 // Migrations returns how many migrations this RSS has spanned.
 func (r *RSS) Migrations() int { return r.migrations }
-
-// SetResumeMarker records application progress (e.g. the next panel index)
-// for the restarted run.
-func (r *RSS) SetResumeMarker(m int) { r.resumeMarker = m }
 
 // ResumeMarker returns the recorded progress marker.
 func (r *RSS) ResumeMarker() int { return r.resumeMarker }
@@ -228,7 +201,7 @@ func (r *RSS) register(c Ckpt) {
 	} else {
 		lineage = append([]Ckpt{c}, lineage...)
 	}
-	for len(lineage) > r.keepGens {
+	for len(lineage) > keepGenerations {
 		r.deleteBlob(lineage[len(lineage)-1])
 		lineage = lineage[:len(lineage)-1]
 	}
@@ -269,7 +242,7 @@ func (r *RSS) Commit(marker int, keys []string) {
 	r.restoreEpoch = 0 // the next restore re-plans against the new round
 	r.writeEpoch++
 
-	floor := e - r.keepGens + 1
+	floor := e - keepGenerations + 1
 	for ep := range r.epochs {
 		if ep < floor {
 			delete(r.epochs, ep)
@@ -304,7 +277,6 @@ func (r *RSS) replicateAsync(ck Ckpt) {
 		}
 		bk := r.blobKey(ck.Key, ck.Epoch)
 		if err := r.storage.StoreSum(cp, ck.Depot, buddy, bk, ck.Bytes, ck.Sum); err != nil {
-			r.sim.Tracef("srs: replica of %s skipped (%v)", ck.Key, err)
 			return
 		}
 		c, ok := r.lookup(ck.Key, ck.Epoch)
@@ -335,16 +307,6 @@ func (r *RSS) Checkpoints() []Ckpt {
 	return out
 }
 
-// TotalCheckpointBytes returns the volume of the newest generation of all
-// registered checkpoints.
-func (r *RSS) TotalCheckpointBytes() float64 {
-	sum := 0.0
-	for _, c := range r.Checkpoints() {
-		sum += c.Bytes
-	}
-	return sum
-}
-
 // DropCheckpoints deletes all registered checkpoints, every generation
 // (after a successful restart has consumed them).
 func (r *RSS) DropCheckpoints() {
@@ -356,24 +318,6 @@ func (r *RSS) DropCheckpoints() {
 	}
 	r.epochs = make(map[int]epochRec)
 	r.restoreEpoch = 0
-}
-
-// PruneExcept deletes every registered checkpoint (all generations) whose
-// key is not in keep. Retained for callers that manage a single epoch by
-// hand; Commit is the lineage-aware equivalent.
-func (r *RSS) PruneExcept(keep []string) {
-	keepSet := make(map[string]bool, len(keep))
-	for _, k := range keep {
-		keepSet[k] = true
-	}
-	for k, lineage := range r.ckpts {
-		if !keepSet[k] {
-			for _, c := range lineage {
-				r.deleteBlob(c)
-			}
-			delete(r.ckpts, k)
-		}
-	}
 }
 
 // verifiedCandidates returns the depots of c whose blob verifies against
@@ -392,7 +336,6 @@ func (r *RSS) verifiedCandidates(c Ckpt) []*topology.Node {
 		}
 		if _, present := r.storage.Size(cand.Name(), bk); present {
 			r.corruptDetected++
-			r.sim.Tracef("srs: %s corrupt on %s, skipping", bk, cand.Name())
 			if tel := r.sim.Telemetry(); tel != nil {
 				tel.Counter("srs", "ckpt_corrupt_detected").Inc()
 				tel.Emit(telemetry.Event{
@@ -428,7 +371,6 @@ func (r *RSS) PlanRestore() (int, bool) {
 		}
 		for _, c := range r.Checkpoints() {
 			if len(r.verifiedCandidates(c)) == 0 {
-				r.sim.Tracef("srs: %s uncommitted checkpoint %s unverifiable, restarting from scratch", r.app, c.Key)
 				return 0, false
 			}
 		}
@@ -461,7 +403,6 @@ func (r *RSS) PlanRestore() (int, bool) {
 			if tel := r.sim.Telemetry(); tel != nil {
 				tel.Counter("srs", "lineage_fallbacks").Inc()
 			}
-			r.sim.Tracef("srs: %s restoring from older generation %d (newest %d unverifiable)", r.app, e, newest)
 		}
 		r.restoreEpoch = e
 		r.resumeMarker = rec.marker
@@ -562,8 +503,7 @@ func (l *Lib) AckStopped() { l.rss.ackStopped() }
 // planned restore set, pulled from a depot whose copy verifies. This
 // models the block-cyclic N-to-M redistribution (every new process touches
 // every old depot, and data written at the old site crosses the network to
-// the new one). All of one rank's reads share a single virtual-time
-// deadline when a restore budget is set. It returns the bytes read.
+// the new one). It returns the bytes read.
 func (l *Lib) RestoreShare(myRank, nProcs int) (float64, error) {
 	if nProcs <= 0 {
 		return 0, fmt.Errorf("srs: bad process count %d", nProcs)
@@ -571,14 +511,13 @@ func (l *Lib) RestoreShare(myRank, nProcs int) (float64, error) {
 	start := l.ctx.Now()
 	defer func() { l.readTime += l.ctx.Now() - start }()
 	p := l.ctx.Proc()
-	dl := resilience.DeadlineAfter(start, l.rss.restoreBudget)
 	total := 0.0
 	for _, c := range l.rss.restoreSet() {
 		c := c
 		bk := l.rss.blobKey(c.Key, c.Epoch)
 		share := c.Bytes / float64(nProcs)
 		var n float64
-		err := l.rss.retrier.DoUntil(p, "ibp.retrieve", dl, func() error {
+		err := l.rss.retrier.Do(p, "ibp.retrieve", func() error {
 			cands := l.rss.verifiedCandidates(c)
 			if len(cands) == 0 {
 				// Both copies rotted since planning: not retryable, the

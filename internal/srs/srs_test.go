@@ -53,7 +53,7 @@ func TestCheckpointStopRestartCycle(t *testing.T) {
 				if err := lib.StoreCheckpoint(key, perRank); err != nil {
 					t.Errorf("StoreCheckpoint: %v", err)
 				}
-				r.rss.SetResumeMarker(i)
+				r.rss.resumeMarker = i
 				lib.AckStopped()
 				return
 			}
@@ -91,8 +91,12 @@ func TestCheckpointStopRestartCycle(t *testing.T) {
 	if marker <= 0 {
 		t.Fatalf("resume marker = %d, want progress before stop", marker)
 	}
-	if r.rss.TotalCheckpointBytes() != 4*perRank {
-		t.Fatalf("registered checkpoint bytes = %v, want %v", r.rss.TotalCheckpointBytes(), 4*perRank)
+	total := 0.0
+	for _, c := range r.rss.Checkpoints() {
+		total += c.Bytes
+	}
+	if total != 4*perRank {
+		t.Fatalf("registered checkpoint bytes = %v, want %v", total, 4*perRank)
 	}
 	// Every new rank read 1/4 of each of the 4 blobs: total re-read = all.
 	if math.Abs(restartBytes-4*perRank) > 1 {

@@ -209,7 +209,6 @@ type Daemon struct {
 
 	proc    *simcore.Proc
 	stopped bool
-	decided int
 }
 
 // StartDaemon spawns the swapping rescheduler checking every period
@@ -229,9 +228,6 @@ func (d *Daemon) Stop() {
 	d.proc.Kill()
 }
 
-// OrdersPlaced returns how many swap orders the daemon has issued.
-func (d *Daemon) OrdersPlaced() int { return d.decided }
-
 func (d *Daemon) run(p *simcore.Proc) {
 	for !d.stopped {
 		if err := p.Sleep(d.period); err != nil {
@@ -250,8 +246,8 @@ func (d *Daemon) tick() {
 		inactive = append(inactive, Candidate{Phys: phys, VRank: -1, Speed: d.speed(phys, false)})
 	}
 	for _, o := range d.policy.Decide(active, inactive) {
-		if err := d.rt.RequestSwap(o.VRank, o.ToPhys); err == nil {
-			d.decided++
-		}
+		// An order that conflicts with a pending one is dropped; the
+		// next check decides again on fresh speeds.
+		_ = d.rt.RequestSwap(o.VRank, o.ToPhys)
 	}
 }

@@ -92,12 +92,9 @@ func (rt *Runtime) bind(sim *simcore.Sim) {
 	rt.swapDone = simcore.NewSignal(sim)
 	rt.mailbox = make([]*simcore.Chan, rt.world.Size())
 	for i := range rt.mailbox {
-		rt.mailbox[i] = simcore.NewChan(sim, 0)
+		rt.mailbox[i] = simcore.NewChan(sim)
 	}
 }
-
-// ActiveComm returns the communicator over the active set.
-func (rt *Runtime) ActiveComm() *mpi.Comm { return rt.comm }
 
 // ActivePhys returns the physical ranks of the current active set in
 // virtual rank order.
@@ -210,7 +207,7 @@ func (rt *Runtime) finish(ctx *mpi.Ctx, vrank int) {
 		return
 	}
 	for _, phys := range rt.InactivePhys() {
-		rt.mailbox[phys].TryPut(doneMsg{})
+		rt.mailbox[phys].Put(doneMsg{})
 	}
 }
 
@@ -266,7 +263,7 @@ func (rt *Runtime) boundary(ctx *mpi.Ctx, vrank, nextIter int) (deactivated bool
 			return false, err
 		}
 	}
-	rt.mailbox[mine.ToPhys].TryPut(activation{vrank: vrank, nextIter: nextIter})
+	rt.mailbox[mine.ToPhys].Put(activation{vrank: vrank, nextIter: nextIter})
 	rt.swaps++
 	rt.swapTimes = append(rt.swapTimes, ctx.Now())
 	if tel := rt.sim.Telemetry(); tel != nil {

@@ -77,7 +77,7 @@ func TestManualSwapMovesRole(t *testing.T) {
 	if rt.Swaps() != 1 {
 		t.Fatalf("swaps = %d, want 1", rt.Swaps())
 	}
-	if got := rt.ActiveComm().Phys(1); got != 4 {
+	if got := rt.comm.Phys(1); got != 4 {
 		t.Fatalf("vrank 1 now at phys %d, want 4", got)
 	}
 	// The old phys 1 is inactive again; total progress completes.

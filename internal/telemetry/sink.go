@@ -42,13 +42,6 @@ func (b *Buffer) Events() []Event {
 	return append([]Event(nil), b.events...)
 }
 
-// Len returns the number of retained events.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.events)
-}
-
 // JSONL streams events as one JSON object per line. The encoding is fully
 // deterministic: struct field order, ordered Args, and Go's shortest-float
 // formatting, so two identical seeded runs produce byte-identical output.

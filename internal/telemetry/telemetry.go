@@ -24,7 +24,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 )
 
@@ -206,16 +205,4 @@ func (t *Telemetry) Histogram(comp, name string) *Histogram {
 		c.hOrder = append(c.hOrder, name)
 	}
 	return m
-}
-
-// Components returns the registered component names sorted alphabetically.
-func (t *Telemetry) Components() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := append([]string(nil), t.order...)
-	sort.Strings(out)
-	return out
 }

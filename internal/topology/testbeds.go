@@ -116,29 +116,6 @@ func SyntheticSite(prefix string, count int) []NodeSpec {
 	return specs
 }
 
-// SyntheticGrid instantiates a Grid of sites synthetic mega-sites of
-// nodesPerSite nodes each (SyntheticSite specs), all pairwise connected by
-// Internet paths. It is the materialized form of the topology the sharded
-// scale experiment runs; tests use it to cross-check SyntheticSite against
-// the Grid invariants.
-func SyntheticGrid(sim *simcore.Sim, sites, nodesPerSite int) *Grid {
-	g := NewGrid(sim)
-	names := make([]string, sites)
-	for i := range names {
-		names[i] = fmt.Sprintf("mega%02d", i)
-		g.AddSite(names[i], GigE, LANLatency)
-		for _, sp := range SyntheticSite(names[i], nodesPerSite) {
-			g.AddNode(sp)
-		}
-	}
-	for i := 0; i < sites; i++ {
-		for j := i + 1; j < sites; j++ {
-			g.Connect(names[i], names[j], Internet10, 0.030)
-		}
-	}
-	return g
-}
-
 // MicroGridTestbed builds the §4.2.2 virtual Grid: a 3-node UTK cluster
 // (550 MHz Pentium II), a 3-node UIUC cluster (450 MHz Pentium II), both on
 // Gigabit Ethernet LANs, and a single 1.7 GHz Athlon node at UCSD. The
