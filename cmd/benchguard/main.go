@@ -35,6 +35,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"grads/internal/spec"
 )
 
 // Gate is one benchmark constraint, parsed from a -gate flag.
@@ -84,10 +86,10 @@ func main() {
 		os.Exit(1)
 	}
 	gates := make([]Gate, len(specs))
-	for i, spec := range specs {
-		g, err := parseGate(spec)
+	for i, s := range specs {
+		g, err := parseGate(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: bad -gate %q: %v\n", spec, err)
+			fmt.Fprintf(os.Stderr, "benchguard: bad -gate %q: %v\n", s, err)
 			os.Exit(1)
 		}
 		gates[i] = g
@@ -214,18 +216,16 @@ func printGate(g *Gate) {
 	}
 }
 
-// parseGate parses one -gate spec of comma-separated key=value pairs.
-func parseGate(spec string) (Gate, error) {
+// parseGate parses one -gate spec of comma-separated key=value pairs; a
+// key given twice is an error, so a repeated floor cannot loosen a gate.
+func parseGate(s string) (Gate, error) {
 	var g Gate
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return g, fmt.Errorf("expected key=value, got %q", kv)
-		}
+	params, err := spec.Params(s)
+	if err != nil {
+		return g, err
+	}
+	for _, kv := range params {
+		k, v := kv.Key, kv.Val
 		switch k {
 		case "name":
 			g.Name = v
@@ -234,7 +234,7 @@ func parseGate(spec string) (Gate, error) {
 		case "base":
 			g.Base = v
 		case "min-speedup":
-			f, err := strconv.ParseFloat(v, 64)
+			f, err := spec.Float(v)
 			if err != nil || f <= 0 {
 				return g, fmt.Errorf("bad min-speedup %q", v)
 			}

@@ -75,6 +75,10 @@ func TestParseGate(t *testing.T) {
 		"new=BenchmarkX,max-allocs=-1",    // negative ceiling
 		"new=BenchmarkX,unknown-key=1",    // unknown key
 		"new=BenchmarkX,min-speedup",      // not key=value
+		"new=BenchmarkX,base=BenchmarkY,min-speedup=2.5,min-speedup=0.5", // repeated floor
+		"new=BenchmarkX,new=BenchmarkY",                                  // repeated new=
+		"new=BenchmarkX,base=BenchmarkY,min-speedup=NaN",                 // non-finite floor
+		"new=BenchmarkX,", // blank item
 	} {
 		if _, err := parseGate(bad); err == nil {
 			t.Errorf("parseGate(%q) unexpectedly succeeded", bad)

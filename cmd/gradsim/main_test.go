@@ -66,3 +66,19 @@ func TestCSVPrintsTable(t *testing.T) {
 		t.Fatalf("fig4 CSV starts %.60q", stdout.String())
 	}
 }
+
+// TestFaultSpecSpacing: spaces around spec tokens are not part of them, so
+// a spaced -faults target injects the same fault as the unspaced one and
+// the reports match byte for byte.
+func TestFaultSpecSpacing(t *testing.T) {
+	report := func(faults string) string {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-faults", faults}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-faults %q: exit %d: %s", faults, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	if spaced, plain := report("crash@50: utk1"), report("crash@50:utk1"); spaced != plain {
+		t.Fatalf("spaced target changed the report:\n%s\nwant\n%s", spaced, plain)
+	}
+}

@@ -51,6 +51,15 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(events, again) {
 		t.Fatalf("round trip changed the schedule:\n%v\n%v", events, again)
 	}
+	// Spaces around tokens and upper-case kinds parse to the plain form.
+	spaced, err := ParseSpec(" CRASH @ 100 - 400 : a1 ; Slow@150-300: a2 : 4 ;LinkSlow@ 50-90 :lan:A: 0.25")
+	if err != nil {
+		t.Fatalf("spaced spec: %v", err)
+	}
+	plain, err := ParseSpec("crash@100-400:a1;slow@150-300:a2:4;linkslow@50-90:lan:A:0.25")
+	if err != nil || !reflect.DeepEqual(spaced, plain) {
+		t.Fatalf("spaced spec parsed to %v, plain to %v (%v)", spaced, plain, err)
+	}
 }
 
 func TestParseSpecErrors(t *testing.T) {

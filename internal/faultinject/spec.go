@@ -5,8 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
+
+	"grads/internal/spec"
 )
 
 // Kind names one class of injectable fault.
@@ -55,34 +56,15 @@ type Event struct {
 
 // String renders the event in the -faults spec grammar.
 func (e Event) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s@%s", e.Kind, trimFloat(e.Start))
+	s := string(e.Kind) + "@" + spec.Fmt(e.Start)
 	if e.End > e.Start {
-		fmt.Fprintf(&b, "-%s", trimFloat(e.End))
+		s += "-" + spec.Fmt(e.End)
 	}
-	fmt.Fprintf(&b, ":%s", e.Target)
+	s += ":" + e.Target
 	if kindHasValue(e.Kind) {
-		fmt.Fprintf(&b, ":%s", trimFloat(e.Value))
+		s += ":" + spec.Fmt(e.Value)
 	}
-	return b.String()
-}
-
-// trimFloat renders a non-negative time or magnitude in fixed notation:
-// exponent form would put an 'e-07'-style dash into the spec, which the
-// start-end separator of the grammar would then split on.
-func trimFloat(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-
-// parseFinite parses a float and rejects NaN and infinities: a schedule with
-// a non-finite time or magnitude would wedge the injector's event loop.
-func parseFinite(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("non-finite value %q", s)
-	}
-	return v, nil
+	return s
 }
 
 // kindHasValue reports whether the kind carries a magnitude argument.
@@ -96,15 +78,9 @@ func kindHasValue(k Kind) bool {
 
 // FormatSpec renders a schedule in the spec grammar (the inverse of
 // ParseSpec), so generated schedules can be reported and replayed.
-func FormatSpec(events []Event) string {
-	parts := make([]string, len(events))
-	for i, e := range events {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ";")
-}
+func FormatSpec(events []Event) string { return spec.Join(events) }
 
-// ParseSpec parses the -faults schedule grammar:
+// ParseSpec parses the -faults schedule grammar (lexed by package spec):
 //
 //	spec  := event (';' event)*
 //	event := kind '@' start [ '-' end ] ':' target [ ':' value ]
@@ -129,10 +105,9 @@ func FormatSpec(events []Event) string {
 //	lag@10-40:gis:0.5                  every GIS call pays +0.5 s
 //	ckptcorrupt@300-500:qr1            qr1's depot rots and tears writes
 //	storm@600-700:utk:3                3 utk* nodes crash together
-func ParseSpec(spec string) ([]Event, error) {
+func ParseSpec(s string) ([]Event, error) {
 	var events []Event
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
+	for _, part := range spec.Entries(s) {
 		if part == "" {
 			continue
 		}
@@ -150,64 +125,40 @@ func ParseSpec(spec string) ([]Event, error) {
 }
 
 func parseEvent(s string) (Event, error) {
-	at := strings.Index(s, "@")
-	if at < 0 {
-		return Event{}, fmt.Errorf("missing '@'")
+	kind, times, target, err := spec.Head(s)
+	if err != nil {
+		return Event{}, err
 	}
-	kind := Kind(strings.ToLower(strings.TrimSpace(s[:at])))
-	switch kind {
+	e := Event{Kind: Kind(kind)}
+	switch e.Kind {
 	case KindCrash, KindSlow, KindLinkDown, KindLinkSlow, KindOutage, KindLag, KindCkptCorrupt, KindStorm:
 	default:
-		return Event{}, fmt.Errorf("unknown kind %q", string(kind))
+		return Event{}, fmt.Errorf("unknown kind %q", kind)
 	}
-	rest := s[at+1:]
-	colon := strings.Index(rest, ":")
-	if colon < 0 {
-		return Event{}, fmt.Errorf("missing ':' before target")
+	if e.Start, e.End, err = spec.Window(times); err != nil {
+		return Event{}, err
 	}
-	times, target := rest[:colon], rest[colon+1:]
-
-	e := Event{Kind: kind}
-	var err error
-	if dash := strings.Index(times, "-"); dash >= 0 {
-		if e.Start, err = parseFinite(times[:dash]); err != nil {
-			return Event{}, fmt.Errorf("bad start time %q", times[:dash])
-		}
-		if e.End, err = parseFinite(times[dash+1:]); err != nil {
-			return Event{}, fmt.Errorf("bad end time %q", times[dash+1:])
-		}
-		if e.End <= e.Start {
-			return Event{}, fmt.Errorf("end %g not after start %g", e.End, e.Start)
-		}
-	} else if e.Start, err = parseFinite(times); err != nil {
-		return Event{}, fmt.Errorf("bad time %q", times)
-	}
-	if e.Start < 0 {
-		return Event{}, fmt.Errorf("negative time %g", e.Start)
-	}
-
-	if kindHasValue(kind) {
+	if kindHasValue(e.Kind) {
 		last := strings.LastIndex(target, ":")
 		if last < 0 {
 			return Event{}, fmt.Errorf("%s needs a ':value' suffix", kind)
 		}
-		if e.Value, err = parseFinite(target[last+1:]); err != nil {
-			return Event{}, fmt.Errorf("bad value %q", target[last+1:])
+		if e.Value, err = spec.Float(target[last+1:]); err != nil {
+			return Event{}, fmt.Errorf("bad value %q", strings.TrimSpace(target[last+1:]))
 		}
 		target = target[:last]
 		switch {
-		case kind == KindLinkSlow && (e.Value <= 0 || e.Value > 1):
+		case e.Kind == KindLinkSlow && (e.Value <= 0 || e.Value > 1):
 			return Event{}, fmt.Errorf("linkslow factor %g outside (0,1]", e.Value)
-		case kind == KindStorm && e.Value < 1:
+		case e.Kind == KindStorm && e.Value < 1:
 			return Event{}, fmt.Errorf("storm count %g below 1", e.Value)
-		case kind != KindLinkSlow && e.Value <= 0:
+		case e.Kind != KindLinkSlow && e.Value <= 0:
 			return Event{}, fmt.Errorf("value %g must be positive", e.Value)
 		}
 	}
-	if target == "" {
+	if e.Target = strings.TrimSpace(target); e.Target == "" {
 		return Event{}, fmt.Errorf("empty target")
 	}
-	e.Target = target
 	return e, nil
 }
 

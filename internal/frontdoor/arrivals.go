@@ -12,10 +12,11 @@ package frontdoor
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
+
+	"grads/internal/spec"
 )
 
 // MixEntry is one class's weight in a phase's request mix.
@@ -53,46 +54,59 @@ type Phase struct {
 	Mix []MixEntry
 }
 
+// phaseKey is one numeric parameter of a phase: its spec key and the field
+// it sets.
+type phaseKey struct {
+	key   string
+	field func(*Phase) *float64
+}
+
+var keyRate = phaseKey{"rate", func(p *Phase) *float64 { return &p.Rate }}
+
+// phaseKeys lists each kind's numeric keys in canonical order. Parsing, the
+// foreign-key check and String all read it; every kind also takes mix=.
+var phaseKeys = map[string][]phaseKey{
+	"poisson": {keyRate},
+	"mmpp": {keyRate,
+		{"hi", func(p *Phase) *float64 { return &p.Hi }},
+		{"dwell", func(p *Phase) *float64 { return &p.Dwell }},
+		{"hidwell", func(p *Phase) *float64 { return &p.HiDwell }}},
+	"wave": {keyRate,
+		{"amp", func(p *Phase) *float64 { return &p.Amp }},
+		{"period", func(p *Phase) *float64 { return &p.Period }}},
+	"flash": {keyRate,
+		{"peak", func(p *Phase) *float64 { return &p.Peak }},
+		{"at", func(p *Phase) *float64 { return &p.FlashAt }},
+		{"hold", func(p *Phase) *float64 { return &p.Hold }}},
+	"ramp": {keyRate, {"to", func(p *Phase) *float64 { return &p.To }}},
+}
+
 // String renders the phase in the canonical -arrivals grammar (the form
 // FormatArrivals emits and ParseArrivals reparses losslessly).
 func (p Phase) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s@%s-%s:rate=%s", p.Kind, arrFloat(p.Start), arrFloat(p.End), arrFloat(p.Rate))
-	switch p.Kind {
-	case "mmpp":
-		fmt.Fprintf(&b, ",hi=%s,dwell=%s,hidwell=%s", arrFloat(p.Hi), arrFloat(p.Dwell), arrFloat(p.HiDwell))
-	case "wave":
-		fmt.Fprintf(&b, ",amp=%s,period=%s", arrFloat(p.Amp), arrFloat(p.Period))
-	case "flash":
-		fmt.Fprintf(&b, ",peak=%s,at=%s,hold=%s", arrFloat(p.Peak), arrFloat(p.FlashAt), arrFloat(p.Hold))
-	case "ramp":
-		fmt.Fprintf(&b, ",to=%s", arrFloat(p.To))
+	fmt.Fprintf(&b, "%s@%s-%s:", p.Kind, spec.Fmt(p.Start), spec.Fmt(p.End))
+	for i, k := range phaseKeys[p.Kind] {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%s", k.key, spec.Fmt(*k.field(&p)))
 	}
 	if len(p.Mix) > 0 {
 		parts := make([]string, len(p.Mix))
 		for i, m := range p.Mix {
-			parts[i] = m.Class + ":" + arrFloat(m.Weight)
+			parts[i] = m.Class + ":" + spec.Fmt(m.Weight)
 		}
 		fmt.Fprintf(&b, ",mix=%s", strings.Join(parts, "/"))
 	}
 	return b.String()
 }
 
-// arrFloat renders a non-negative finite value in fixed notation (no
-// exponent), so formatted specs reparse to the identical value.
-func arrFloat(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-
 // FormatArrivals renders phases in the grammar ParseArrivals accepts (its
 // exact inverse), so generated workloads can be reported and replayed.
-func FormatArrivals(phases []Phase) string {
-	parts := make([]string, len(phases))
-	for i, p := range phases {
-		parts[i] = p.String()
-	}
-	return strings.Join(parts, ";")
-}
+func FormatArrivals(phases []Phase) string { return spec.Join(phases) }
 
-// ParseArrivals parses the -arrivals workload grammar:
+// ParseArrivals parses the -arrivals workload grammar (lexed by package spec):
 //
 //	spec  := phase (';' phase)*
 //	phase := kind '@' start '-' end ':' param (',' param)*
@@ -119,10 +133,9 @@ func FormatArrivals(phases []Phase) string {
 //
 // Phases are returned sorted by start time (then end, kind, rate) so
 // generation order never depends on how the spec string was assembled.
-func ParseArrivals(spec string) ([]Phase, error) {
+func ParseArrivals(s string) ([]Phase, error) {
 	var phases []Phase
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
+	for _, part := range spec.Entries(s) {
 		if part == "" {
 			continue
 		}
@@ -140,87 +153,43 @@ func ParseArrivals(spec string) ([]Phase, error) {
 }
 
 func parsePhase(s string) (Phase, error) {
-	at := strings.Index(s, "@")
-	if at < 0 {
-		return Phase{}, fmt.Errorf("missing '@'")
+	kind, window, rest, err := spec.Head(s)
+	if err != nil {
+		return Phase{}, err
 	}
-	kind := strings.ToLower(strings.TrimSpace(s[:at]))
-	switch kind {
-	case "poisson", "mmpp", "wave", "flash", "ramp":
-	default:
+	keys, ok := phaseKeys[kind]
+	if !ok {
 		return Phase{}, fmt.Errorf("unknown arrival kind %q (want poisson, mmpp, wave, flash or ramp)", kind)
 	}
-	rest := s[at+1:]
-	colon := strings.Index(rest, ":")
-	if colon < 0 {
-		return Phase{}, fmt.Errorf("missing ':' before parameters")
+	p := Phase{Kind: kind}
+	if p.Start, p.End, err = spec.Window(window); err != nil {
+		return Phase{}, err
 	}
-	window := rest[:colon]
-	dash := strings.Index(window, "-")
-	if dash < 0 {
+	if p.End == 0 {
 		return Phase{}, fmt.Errorf("window %q is not start-end", window)
 	}
-	p := Phase{Kind: kind}
-	start, err := parseArrFloat(window[:dash])
+	params, err := spec.Params(rest)
 	if err != nil {
-		return Phase{}, fmt.Errorf("bad window start %q", window[:dash])
+		return Phase{}, err
 	}
-	end, err := parseArrFloat(window[dash+1:])
-	if err != nil {
-		return Phase{}, fmt.Errorf("bad window end %q", window[dash+1:])
-	}
-	if end <= start {
-		return Phase{}, fmt.Errorf("window end %s is not after start %s", arrFloat(end), arrFloat(start))
-	}
-	p.Start, p.End = start, end
-
 	seen := map[string]bool{}
-	for _, param := range strings.Split(rest[colon+1:], ",") {
-		eq := strings.Index(param, "=")
-		if eq < 0 {
-			return Phase{}, fmt.Errorf("parameter %q is not key=value", param)
-		}
-		key, val := strings.TrimSpace(param[:eq]), strings.TrimSpace(param[eq+1:])
-		if seen[key] {
-			return Phase{}, fmt.Errorf("duplicate parameter %q", key)
-		}
-		seen[key] = true
-		if key == "mix" {
-			mix, err := parseMix(val)
-			if err != nil {
+	for _, kv := range params {
+		seen[kv.Key] = true
+		if kv.Key == "mix" {
+			if p.Mix, err = parseMix(kv.Val); err != nil {
 				return Phase{}, err
 			}
-			p.Mix = mix
 			continue
 		}
-		fv, err := parseArrFloat(val)
-		if err != nil {
-			return Phase{}, fmt.Errorf("%s=%q is not a non-negative finite number", key, val)
+		i := slices.IndexFunc(keys, func(k phaseKey) bool { return k.key == kv.Key })
+		if i < 0 {
+			return Phase{}, fmt.Errorf("%s= does not apply to %s phases", kv.Key, kind)
 		}
-		switch key {
-		case "rate":
-			p.Rate = fv
-		case "hi":
-			p.Hi = fv
-		case "dwell":
-			p.Dwell = fv
-		case "hidwell":
-			p.HiDwell = fv
-		case "amp":
-			p.Amp = fv
-		case "period":
-			p.Period = fv
-		case "peak":
-			p.Peak = fv
-		case "at":
-			p.FlashAt = fv
-		case "hold":
-			p.Hold = fv
-		case "to":
-			p.To = fv
-		default:
-			return Phase{}, fmt.Errorf("unknown parameter %q", key)
+		v, err := spec.Float(kv.Val)
+		if err != nil || v < 0 {
+			return Phase{}, fmt.Errorf("%s=%q is not a non-negative finite number", kv.Key, kv.Val)
 		}
+		*keys[i].field(&p) = v
 	}
 	if !seen["rate"] {
 		return Phase{}, fmt.Errorf("phase needs rate=")
@@ -231,29 +200,9 @@ func parsePhase(s string) (Phase, error) {
 	return p, nil
 }
 
-// validate enforces the per-kind parameter contract; seen marks which keys
-// the spec supplied, so kind-foreign parameters are rejected rather than
-// silently ignored.
+// validate enforces the per-kind value contract; seen marks which keys the
+// spec supplied.
 func (p *Phase) validate(seen map[string]bool) error {
-	allowed := map[string][]string{
-		"poisson": {"rate", "mix"},
-		"mmpp":    {"rate", "hi", "dwell", "hidwell", "mix"},
-		"wave":    {"rate", "amp", "period", "mix"},
-		"flash":   {"rate", "peak", "at", "hold", "mix"},
-		"ramp":    {"rate", "to", "mix"},
-	}[p.Kind]
-	for key := range seen {
-		ok := false
-		for _, a := range allowed {
-			if key == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("%s= does not apply to %s phases", key, p.Kind)
-		}
-	}
 	switch p.Kind {
 	case "poisson":
 		if p.Rate <= 0 {
@@ -301,11 +250,11 @@ func parseMix(s string) ([]MixEntry, error) {
 	var mix []MixEntry
 	seen := map[string]bool{}
 	for _, part := range strings.Split(s, "/") {
-		colon := strings.Index(part, ":")
-		if colon < 0 {
+		cls, weight, ok := strings.Cut(part, ":")
+		if !ok {
 			return nil, fmt.Errorf("mix entry %q is not class:weight", part)
 		}
-		cls := strings.TrimSpace(part[:colon])
+		cls = strings.ToLower(strings.TrimSpace(cls))
 		if !validClassName(cls) {
 			return nil, fmt.Errorf("mix entry %q needs a class of [a-z0-9_-]", part)
 		}
@@ -313,9 +262,9 @@ func parseMix(s string) ([]MixEntry, error) {
 			return nil, fmt.Errorf("duplicate mix class %q", cls)
 		}
 		seen[cls] = true
-		w, err := parseArrFloat(part[colon+1:])
+		w, err := spec.Float(weight)
 		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("mix weight %q is not a positive finite number", part[colon+1:])
+			return nil, fmt.Errorf("mix weight %q is not a positive finite number", weight)
 		}
 		mix = append(mix, MixEntry{Class: cls, Weight: w})
 	}
@@ -338,15 +287,6 @@ func validClassName(s string) bool {
 		}
 	}
 	return true
-}
-
-// parseArrFloat parses a non-negative finite float.
-func parseArrFloat(s string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return 0, fmt.Errorf("bad number %q", s)
-	}
-	return v, nil
 }
 
 // sortPhases orders phases by start, then end, kind and rate — a

@@ -30,6 +30,12 @@ func TestParseArrivalsGrammar(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parsed phases:\n got %+v\nwant %+v", got, want)
 	}
+	// Spaces around tokens and upper-case kinds and classes parse to the
+	// plain form.
+	spaced, err := ParseArrivals(" WAVE @ 0 - 3600 : rate = 0.2 , amp=0.5,period= 1200 , mix = BULK : 1 / Int: 3 ")
+	if err != nil || !reflect.DeepEqual(spaced, []Phase{want[2]}) {
+		t.Fatalf("spaced phase parsed to %+v (%v), want %+v", spaced, err, want[2])
+	}
 }
 
 // TestParseArrivalsErrors: malformed specs are rejected with a diagnostic

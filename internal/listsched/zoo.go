@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"grads/internal/apps"
 	"grads/internal/core"
 	"grads/internal/perfmodel"
+	"grads/internal/spec"
 )
 
 // Zoo classes.
@@ -52,33 +53,22 @@ var (
 
 // zooClasses maps each class to its parameters (canonical emission order)
 // and defaults.
-var zooClasses = []struct {
-	class    string
+var zooClasses = map[string]struct {
 	params   []zooParam
 	defaults ZooSpec
 }{
-	{ZooChain, []zooParam{paramN, paramCCR}, ZooSpec{Class: ZooChain, N: 16, CCR: 0.5}},
-	{ZooFanout, []zooParam{paramWidth, paramCCR}, ZooSpec{Class: ZooFanout, Width: 24, CCR: 1}},
-	{ZooDiamond, []zooParam{paramWidth, paramLayers, paramCCR}, ZooSpec{Class: ZooDiamond, Width: 6, Layers: 4, CCR: 1}},
-	{ZooLayered, []zooParam{paramLayers, paramWidth, paramFanin, paramCCR}, ZooSpec{Class: ZooLayered, Layers: 4, Width: 8, Fanin: 3, CCR: 1}},
-	{ZooEMAN, []zooParam{paramN, paramWidth}, ZooSpec{Class: ZooEMAN, N: 400, Width: 8}},
-}
-
-// zooClass looks up a class entry.
-func zooClass(class string) (int, bool) {
-	for i := range zooClasses {
-		if zooClasses[i].class == class {
-			return i, true
-		}
-	}
-	return 0, false
+	ZooChain:   {[]zooParam{paramN, paramCCR}, ZooSpec{Class: ZooChain, N: 16, CCR: 0.5}},
+	ZooFanout:  {[]zooParam{paramWidth, paramCCR}, ZooSpec{Class: ZooFanout, Width: 24, CCR: 1}},
+	ZooDiamond: {[]zooParam{paramWidth, paramLayers, paramCCR}, ZooSpec{Class: ZooDiamond, Width: 6, Layers: 4, CCR: 1}},
+	ZooLayered: {[]zooParam{paramLayers, paramWidth, paramFanin, paramCCR}, ZooSpec{Class: ZooLayered, Layers: 4, Width: 8, Fanin: 3, CCR: 1}},
+	ZooEMAN:    {[]zooParam{paramN, paramWidth}, ZooSpec{Class: ZooEMAN, N: 400, Width: 8}},
 }
 
 // maxZooSize bounds every integer parameter so that fuzzed specs cannot
 // describe pathological DAGs.
 const maxZooSize = 4096
 
-// ParseZoo parses a DAG-zoo spec:
+// ParseZoo parses a DAG-zoo spec (lexed by package spec):
 //
 //	spec  := entry (';' entry)*
 //	entry := class [':' param (',' param)*]
@@ -96,57 +86,44 @@ const maxZooSize = 4096
 // [1, 4096] and ccr in [0, 1024] (NaN and infinities are rejected). The
 // result is canonical: FormatZoo renders it back to a spec that reparses to
 // the identical value.
-func ParseZoo(spec string) ([]ZooSpec, error) {
-	if strings.TrimSpace(spec) == "" {
+func ParseZoo(s string) ([]ZooSpec, error) {
+	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("listsched: empty zoo spec")
 	}
 	var out []ZooSpec
-	for _, entry := range strings.Split(spec, ";") {
-		entry = strings.TrimSpace(entry)
+	for _, entry := range spec.Entries(s) {
 		if entry == "" {
 			return nil, fmt.Errorf("listsched: empty zoo entry")
 		}
 		class, rest, hasParams := strings.Cut(entry, ":")
-		ci, ok := zooClass(class)
+		class = strings.ToLower(strings.TrimSpace(class))
+		c, ok := zooClasses[class]
 		if !ok {
 			return nil, fmt.Errorf("listsched: unknown zoo class %q", class)
 		}
-		z := zooClasses[ci].defaults
-		seen := map[string]bool{}
+		z, keys := c.defaults, c.params
 		if hasParams {
-			for _, kv := range strings.Split(rest, ",") {
-				key, val, okKV := strings.Cut(kv, "=")
-				if !okKV {
-					return nil, fmt.Errorf("listsched: zoo %s: bad param %q (want key=value)", class, kv)
+			params, err := spec.Params(rest)
+			if err != nil {
+				return nil, fmt.Errorf("listsched: zoo %s: %w", class, err)
+			}
+			for _, kv := range params {
+				i := slices.IndexFunc(keys, func(p zooParam) bool { return p.key == kv.Key })
+				if i < 0 {
+					return nil, fmt.Errorf("listsched: zoo %s: unknown key %q", class, kv.Key)
 				}
-				var p *zooParam
-				for i := range zooClasses[ci].params {
-					if zooClasses[ci].params[i].key == key {
-						p = &zooClasses[ci].params[i]
-						break
-					}
-				}
-				if p == nil {
-					return nil, fmt.Errorf("listsched: zoo %s: unknown key %q", class, key)
-				}
-				if seen[key] {
-					return nil, fmt.Errorf("listsched: zoo %s: duplicate key %q", class, key)
-				}
-				seen[key] = true
-				v, err := strconv.ParseFloat(val, 64)
+				v, err := spec.Float(kv.Val)
 				if err != nil {
-					return nil, fmt.Errorf("listsched: zoo %s: %s=%q is not a number", class, key, val)
+					return nil, fmt.Errorf("listsched: zoo %s: %s=%w", class, kv.Key, err)
 				}
-				if p.flt {
-					if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1024 {
-						return nil, fmt.Errorf("listsched: zoo %s: %s=%v out of range [0, 1024]", class, key, v)
+				if keys[i].flt {
+					if v < 0 || v > 1024 {
+						return nil, fmt.Errorf("listsched: zoo %s: %s=%v out of range [0, 1024]", class, kv.Key, v)
 					}
-				} else {
-					if v != math.Trunc(v) || v < 1 || v > maxZooSize {
-						return nil, fmt.Errorf("listsched: zoo %s: %s=%v must be an integer in [1, %d]", class, key, v, maxZooSize)
-					}
+				} else if v != math.Trunc(v) || v < 1 || v > maxZooSize {
+					return nil, fmt.Errorf("listsched: zoo %s: %s=%v must be an integer in [1, %d]", class, kv.Key, v, maxZooSize)
 				}
-				p.set(&z, v)
+				keys[i].set(&z, v)
 			}
 		}
 		out = append(out, z)
@@ -157,14 +134,13 @@ func ParseZoo(spec string) ([]ZooSpec, error) {
 // String renders the spec in the canonical grammar (every parameter
 // explicit, class order).
 func (z ZooSpec) String() string {
-	ci, ok := zooClass(z.Class)
+	c, ok := zooClasses[z.Class]
 	if !ok {
 		return z.Class
 	}
-	parts := make([]string, 0, len(zooClasses[ci].params))
-	for _, p := range zooClasses[ci].params {
-		v := p.get(&z)
-		parts = append(parts, p.key+"="+strconv.FormatFloat(v, 'f', -1, 64))
+	parts := make([]string, 0, len(c.params))
+	for _, p := range c.params {
+		parts = append(parts, p.key+"="+spec.Fmt(p.get(&z)))
 	}
 	return z.Class + ":" + strings.Join(parts, ",")
 }
@@ -172,13 +148,7 @@ func (z ZooSpec) String() string {
 // FormatZoo renders specs in the grammar ParseZoo accepts — its exact
 // inverse on parsed values, so zoo workloads round-trip losslessly through
 // reports and replays.
-func FormatZoo(specs []ZooSpec) string {
-	parts := make([]string, len(specs))
-	for i, z := range specs {
-		parts[i] = z.String()
-	}
-	return strings.Join(parts, ";")
-}
+func FormatZoo(specs []ZooSpec) string { return spec.Join(specs) }
 
 // Tasks returns the component count the spec expands to (for reports).
 func (z ZooSpec) Tasks() int {
@@ -229,7 +199,7 @@ func zooFlops(rng *rand.Rand) float64 { return 1e9 * float64(1+rng.Intn(10)) }
 // layered class's edges) are drawn from rng, so a fixed seed yields a fixed
 // DAG.
 func (z ZooSpec) Build(rng *rand.Rand) (*core.Workflow, error) {
-	if _, ok := zooClass(z.Class); !ok {
+	if _, ok := zooClasses[z.Class]; !ok {
 		return nil, fmt.Errorf("listsched: unknown zoo class %q", z.Class)
 	}
 	w := core.NewWorkflow()

@@ -22,6 +22,11 @@ func TestParseZooDefaultsAndOverrides(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParseZoo = %+v\nwant %+v", got, want)
 	}
+	// Spaces around tokens and upper-case classes parse to the plain form.
+	spaced, err := ParseZoo(" Chain ; FANOUT : width = 32 ;layered: ccr=2.5 , fanin= 1; eman:n=200,width=4;Diamond")
+	if err != nil || !reflect.DeepEqual(spaced, want) {
+		t.Fatalf("spaced spec parsed to %+v (%v), want %+v", spaced, err, want)
+	}
 }
 
 func TestParseZooErrors(t *testing.T) {

@@ -2,10 +2,11 @@ package metasched
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
+
+	"grads/internal/spec"
 )
 
 // StreamEntry is one parsed submission of the -jobs stream grammar: a job
@@ -28,7 +29,7 @@ type StreamEntry struct {
 // String renders the entry in the stream grammar.
 func (e StreamEntry) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s@%s:", e.Kind, streamFloat(e.Submit))
+	fmt.Fprintf(&b, "%s@%s:", e.Kind, spec.Fmt(e.Submit))
 	switch e.Kind {
 	case "qr":
 		fmt.Fprintf(&b, "n=%d", e.N)
@@ -40,30 +41,20 @@ func (e StreamEntry) String() string {
 		fmt.Fprintf(&b, ",min=%d", e.MinWidth)
 	}
 	if e.Bid > 0 {
-		fmt.Fprintf(&b, ",bid=%s", streamFloat(e.Bid))
+		fmt.Fprintf(&b, ",bid=%s", spec.Fmt(e.Bid))
 	}
 	if e.Est > 0 {
-		fmt.Fprintf(&b, ",est=%s", streamFloat(e.Est))
+		fmt.Fprintf(&b, ",est=%s", spec.Fmt(e.Est))
 	}
 	return b.String()
 }
 
-// streamFloat renders a non-negative finite value in fixed notation (no
-// exponent), so formatted streams reparse to the identical value.
-func streamFloat(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-
 // FormatStream renders a submission stream in the grammar ParseStream
 // accepts (its exact inverse), so generated streams can be reported and
 // replayed.
-func FormatStream(entries []StreamEntry) string {
-	parts := make([]string, len(entries))
-	for i, e := range entries {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ";")
-}
+func FormatStream(entries []StreamEntry) string { return spec.Join(entries) }
 
-// ParseStream parses the -jobs submission-stream grammar:
+// ParseStream parses the -jobs submission grammar (lexed by package spec):
 //
 //	stream := entry (';' entry)*
 //	entry  := kind '@' submit ':' param (',' param)*
@@ -89,8 +80,7 @@ func FormatStream(entries []StreamEntry) string {
 // time (then kind, then shape) so execution is deterministic.
 func ParseStream(stream string) ([]StreamEntry, error) {
 	var entries []StreamEntry
-	for _, part := range strings.Split(stream, ";") {
-		part = strings.TrimSpace(part)
+	for _, part := range spec.Entries(stream) {
 		if part == "" {
 			continue
 		}
@@ -108,72 +98,41 @@ func ParseStream(stream string) ([]StreamEntry, error) {
 }
 
 func parseStreamEntry(s string) (StreamEntry, error) {
-	at := strings.Index(s, "@")
-	if at < 0 {
-		return StreamEntry{}, fmt.Errorf("missing '@'")
+	kind, submit, rest, err := spec.Head(s)
+	if err != nil {
+		return StreamEntry{}, err
 	}
-	kind := strings.ToLower(strings.TrimSpace(s[:at]))
 	if kind != "qr" && kind != "farm" {
 		return StreamEntry{}, fmt.Errorf("unknown job kind %q (want qr or farm)", kind)
 	}
-	rest := s[at+1:]
-	colon := strings.Index(rest, ":")
-	if colon < 0 {
-		return StreamEntry{}, fmt.Errorf("missing ':' before parameters")
-	}
 	e := StreamEntry{Kind: kind}
-	submit, err := strconv.ParseFloat(rest[:colon], 64)
-	if err != nil || math.IsNaN(submit) || math.IsInf(submit, 0) || submit < 0 {
-		return StreamEntry{}, fmt.Errorf("bad submit time %q", rest[:colon])
+	if e.Submit, err = spec.Float(submit); err != nil || e.Submit < 0 {
+		return StreamEntry{}, fmt.Errorf("bad submit time %q", submit)
 	}
-	e.Submit = submit
-
-	seen := map[string]bool{}
-	for _, param := range strings.Split(rest[colon+1:], ",") {
-		eq := strings.Index(param, "=")
-		if eq < 0 {
-			return StreamEntry{}, fmt.Errorf("parameter %q is not key=value", param)
+	params, err := spec.Params(rest)
+	if err != nil {
+		return StreamEntry{}, err
+	}
+	ints := map[string]*int{"n": &e.N, "tasks": &e.Tasks, "w": &e.Width, "min": &e.MinWidth}
+	floats := map[string]*float64{"bid": &e.Bid, "est": &e.Est}
+	for _, p := range params {
+		if iv := ints[p.Key]; iv != nil {
+			if *iv, err = strconv.Atoi(p.Val); err != nil || *iv <= 0 {
+				return StreamEntry{}, fmt.Errorf("%s=%q is not a positive integer", p.Key, p.Val)
+			}
+		} else if fv := floats[p.Key]; fv != nil {
+			if *fv, err = spec.Float(p.Val); err != nil || *fv <= 0 {
+				return StreamEntry{}, fmt.Errorf("%s=%q is not a positive finite number", p.Key, p.Val)
+			}
+		} else {
+			return StreamEntry{}, fmt.Errorf("unknown parameter %q", p.Key)
 		}
-		key, val := strings.TrimSpace(param[:eq]), strings.TrimSpace(param[eq+1:])
-		if seen[key] {
-			return StreamEntry{}, fmt.Errorf("duplicate parameter %q", key)
-		}
-		seen[key] = true
-		switch key {
-		case "n", "tasks", "w", "min":
-			iv, err := strconv.Atoi(val)
-			if err != nil || iv <= 0 {
-				return StreamEntry{}, fmt.Errorf("%s=%q is not a positive integer", key, val)
-			}
-			switch key {
-			case "n":
-				if kind != "qr" {
-					return StreamEntry{}, fmt.Errorf("n= only applies to qr jobs")
-				}
-				e.N = iv
-			case "tasks":
-				if kind != "farm" {
-					return StreamEntry{}, fmt.Errorf("tasks= only applies to farm jobs")
-				}
-				e.Tasks = iv
-			case "w":
-				e.Width = iv
-			case "min":
-				e.MinWidth = iv
-			}
-		case "bid", "est":
-			fv, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(fv) || math.IsInf(fv, 0) || fv <= 0 {
-				return StreamEntry{}, fmt.Errorf("%s=%q is not a positive finite number", key, val)
-			}
-			if key == "bid" {
-				e.Bid = fv
-			} else {
-				e.Est = fv
-			}
-		default:
-			return StreamEntry{}, fmt.Errorf("unknown parameter %q", key)
-		}
+	}
+	if kind != "qr" && e.N != 0 {
+		return StreamEntry{}, fmt.Errorf("n= only applies to qr jobs")
+	}
+	if kind != "farm" && e.Tasks != 0 {
+		return StreamEntry{}, fmt.Errorf("tasks= only applies to farm jobs")
 	}
 	if kind == "qr" && e.N == 0 {
 		return StreamEntry{}, fmt.Errorf("qr job needs n=")

@@ -22,6 +22,11 @@ func TestParseStream(t *testing.T) {
 	if got := FormatStream(entries); got != "qr@0:n=3000,w=8,min=4,bid=40;farm@25:tasks=24,w=4,bid=3" {
 		t.Fatalf("FormatStream = %q", got)
 	}
+	// Spaces around tokens and upper-case kinds parse to the plain form.
+	spaced, err := ParseStream(" FARM @ 25 : tasks = 24 , w=4 ,bid= 3;Qr@ 0:n=3000, w=8,min =4,bid=40 ")
+	if err != nil || !reflect.DeepEqual(spaced, want) {
+		t.Fatalf("spaced stream parsed to %+v (%v), want %+v", spaced, err, want)
+	}
 }
 
 func TestParseStreamRejects(t *testing.T) {
