@@ -224,10 +224,6 @@ func (q *QR) RemainingTime(nodes []*topology.Node, avail func(*topology.Node) fl
 	return t
 }
 
-// ProgressVersion implements rescheduler.ProgressVersioned: the panel count
-// is the only mutable state RemainingTime reads.
-func (q *QR) ProgressVersion() int64 { return int64(q.donePanels) }
-
 // CheckpointBytes implements cop.PerformanceModel: matrix A plus vector B.
 func (q *QR) CheckpointBytes() float64 {
 	n := float64(q.N)

@@ -109,10 +109,6 @@ func (f *TaskFarm) RemainingTime(nodes []*topology.Node, avail func(*topology.No
 	return float64(f.Tasks-f.doneTasks) * f.TaskFlops / rate
 }
 
-// ProgressVersion implements rescheduler.ProgressVersioned: the completed
-// task count is the only mutable state RemainingTime reads.
-func (f *TaskFarm) ProgressVersion() int64 { return int64(f.doneTasks) }
-
 // CheckpointBytes implements cop.PerformanceModel.
 func (f *TaskFarm) CheckpointBytes() float64 { return f.StateBytes }
 

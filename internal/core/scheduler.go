@@ -48,17 +48,17 @@ type Scheduler struct {
 
 	Grid *topology.Grid
 
-	// Cache memoizes model evaluations across the search: the three
-	// heuristics re-rank the same (component, node) pairs against identical
-	// availabilities, and repeated searches at unchanged network state
-	// re-estimate the same transfers. Every input of a cached evaluation is
-	// part of its key, so cached and uncached searches produce bit-identical
-	// schedules. A nil Cache disables memoization.
+	// Cache memoizes transfer estimates across the search: the three
+	// heuristics re-rank the same (component, node) pairs, and repeated
+	// searches at unchanged network state re-estimate the same transfers.
+	// Every input of an estimate is part of its key, so cached and uncached
+	// searches produce bit-identical schedules. A nil Cache disables
+	// memoization.
 	Cache *perfmodel.Cache
 }
 
 // NewScheduler creates a scheduler with the paper's defaults (equal
-// weights) and an evaluation cache.
+// weights) and a transfer-estimate cache.
 func NewScheduler(grid *topology.Grid, weather *nws.Service) *Scheduler {
 	return &Scheduler{W1: 1, W2: 1, Weather: weather, Grid: grid, Cache: perfmodel.NewCache(0)}
 }
@@ -71,8 +71,9 @@ func (s *Scheduler) avail(n *topology.Node) float64 {
 	return 1
 }
 
-// transferTime estimates moving bytes between two nodes.
-func (s *Scheduler) transferTime(a, b *topology.Node, bytes float64) float64 {
+// TransferTime estimates moving bytes between two nodes: the point-to-point
+// estimate the data costs are built from, memoized in Cache.
+func (s *Scheduler) TransferTime(a, b *topology.Node, bytes float64) float64 {
 	if a == nil || b == nil || a == b || bytes <= 0 {
 		return 0
 	}
@@ -81,47 +82,24 @@ func (s *Scheduler) transferTime(a, b *topology.Node, bytes float64) float64 {
 		// so they are not memoized.
 		return s.Weather.TransferEstimate(a, b, bytes)
 	}
-	if s.Cache != nil && s.Grid != nil && s.Grid.Net != nil {
-		// The network's state version covers every input of the estimate
-		// (flow set, background, degradations, latency factors), so equal
-		// keys guarantee equal results.
-		var sig perfmodel.Sig
-		sig.S(a.Name()).S(b.Name()).F(bytes).I(s.Grid.Net.StateVersion())
-		key := sig.String()
-		if v, ok := s.Cache.Lookup("xfer", key); ok {
-			return v
-		}
-		v := s.Grid.TransferTimeEstimate(a, b, bytes)
-		s.Cache.Store("xfer", key, v)
+	if s.Cache == nil {
+		return s.Grid.TransferTimeEstimate(a, b, bytes)
+	}
+	// The network's state version covers every input of the estimate (flow
+	// set, background, degradations, latency factors), so equal keys
+	// guarantee equal results.
+	k := perfmodel.TransferKey{From: a, To: b, Bytes: math.Float64bits(bytes), Version: s.Grid.Net.StateVersion()}
+	if v, ok := s.Cache.Lookup(k); ok {
 		return v
 	}
-	return s.Grid.TransferTimeEstimate(a, b, bytes)
-}
-
-// ECost exposes the execution-cost half of the rank function — the expected
-// execution time of c on r under forecast load, memoized like Rank — for
-// engines built over the same cost model (internal/listsched).
-func (s *Scheduler) ECost(c *Component, r *topology.Node) float64 { return s.ecost(c, r) }
-
-// DCost exposes the data-movement half of the rank function: the cost of
-// staging component ci's inputs to r given the partial schedule.
-func (s *Scheduler) DCost(w *Workflow, ci int, r *topology.Node, assigned []Assignment) float64 {
-	return s.dcostFrom(w, w.Components[ci], ci, r, assigned)
-}
-
-// TransferTime exposes the memoized point-to-point transfer estimate the
-// data costs are built from.
-func (s *Scheduler) TransferTime(a, b *topology.Node, bytes float64) float64 {
-	return s.transferTime(a, b, bytes)
+	v := s.Grid.TransferTimeEstimate(a, b, bytes)
+	s.Cache.Store(k, v)
+	return v
 }
 
 // Eligible reports whether a resource meets a component's minimum
 // requirements (§3.1: failing resources get rank infinity).
-func Eligible(c *Component, r *topology.Node) bool { return eligible(c, r) }
-
-// eligible reports whether a resource meets a component's minimum
-// requirements (§3.1: failing resources get rank infinity).
-func eligible(c *Component, r *topology.Node) bool {
+func Eligible(c *Component, r *topology.Node) bool {
 	if c.ReqArch != "" && r.Spec.Arch != c.ReqArch {
 		return false
 	}
@@ -131,38 +109,27 @@ func eligible(c *Component, r *topology.Node) bool {
 	return true
 }
 
-// ecost is the expected execution time of c on r under forecast load.
-func (s *Scheduler) ecost(c *Component, r *topology.Node) float64 {
+// ECost is the execution-cost half of the rank function: the expected
+// execution time of c on r under forecast load.
+func (s *Scheduler) ECost(c *Component, r *topology.Node) float64 {
 	if c.Model == nil {
 		return 0
 	}
-	av := s.avail(r)
-	if s.Cache == nil {
-		return c.Model.TimeLoaded(c.ProblemSize, r, av)
-	}
-	// TimeLoaded is pure in (model, size, node spec, availability); the node
-	// spec is static, so this key covers every input.
-	var sig perfmodel.Sig
-	sig.S(c.Model.Name).S(c.Name).F(c.ProblemSize).S(r.Name()).F(av)
-	key := sig.String()
-	if v, ok := s.Cache.Lookup("ecost", key); ok {
-		return v
-	}
-	v := c.Model.TimeLoaded(c.ProblemSize, r, av)
-	s.Cache.Store("ecost", key, v)
-	return v
+	return c.Model.TimeLoaded(c.ProblemSize, r, s.avail(r))
 }
 
-// dcostFrom estimates the data-movement cost of running c on r given the
-// nodes its inputs live on (predecessor assignments, or the workflow origin
-// for entry components).
-func (s *Scheduler) dcostFrom(w *Workflow, c *Component, ci int, r *topology.Node, assigned []Assignment) float64 {
-	cost := 0.0
-	if len(w.Deps(ci)) == 0 {
-		cost += s.transferTime(w.Origin, r, c.InputBytes)
+// DCost is the data-movement half of the rank function: the cost of staging
+// component ci's inputs to r from the nodes they live on (predecessor
+// assignments in the partial schedule, or the workflow origin for entry
+// components).
+func (s *Scheduler) DCost(w *Workflow, ci int, r *topology.Node, assigned []Assignment) float64 {
+	deps := w.Deps(ci)
+	if len(deps) == 0 {
+		return s.TransferTime(w.Origin, r, w.Components[ci].InputBytes)
 	}
-	for _, d := range w.Deps(ci) {
-		cost += s.transferTime(assigned[d].Node, r, w.Components[d].OutputBytes)
+	cost := 0.0
+	for _, d := range deps {
+		cost += s.TransferTime(assigned[d].Node, r, w.Components[d].OutputBytes)
 	}
 	return cost
 }
@@ -171,10 +138,10 @@ func (s *Scheduler) dcostFrom(w *Workflow, c *Component, ci int, r *topology.Nod
 // the context of the partial schedule. Infinity marks ineligibility.
 func (s *Scheduler) Rank(w *Workflow, ci int, r *topology.Node, assigned []Assignment) float64 {
 	c := w.Components[ci]
-	if !eligible(c, r) {
+	if !Eligible(c, r) {
 		return math.Inf(1)
 	}
-	return s.W1*s.ecost(c, r) + s.W2*s.dcostFrom(w, c, ci, r, assigned)
+	return s.W1*s.ECost(c, r) + s.W2*s.DCost(w, ci, r, assigned)
 }
 
 // tel returns the telemetry hub of the grid's simulation, or nil.
@@ -483,7 +450,7 @@ func (s *Scheduler) ScheduleRandom(rng *rand.Rand, w *Workflow, resources []*top
 		for _, ci := range ready {
 			var elig []*topology.Node
 			for _, r := range resources {
-				if eligible(w.Components[ci], r) {
+				if Eligible(w.Components[ci], r) {
 					elig = append(elig, r)
 				}
 			}

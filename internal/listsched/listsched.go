@@ -1,15 +1,16 @@
 // Package listsched is a pluggable DAG list-scheduling engine over the
 // paper's workflow/performance-matrix machinery (internal/core): a
 // Heuristic maps a core.Workflow onto per-node reservation Timelines using
-// the same memoized execution- and data-cost primitives the GrADS
-// scheduler ranks with. It implements the HEFT family — HEFT (upward-rank
-// priority with earliest-finish-time gap insertion), CPOP (critical path
-// on a processor) — a sufferage list variant, and a min-min adapter that
-// reproduces core.Scheduler's min-min schedule exactly. Timelines support
-// advance reservations: pre-claimed intervals (a metascheduler's EASY
-// backfill guarantee, or the already-running tasks of a mid-execution
-// rescheduling pass) that every heuristic schedules around and the
-// validity harness verifies are preserved.
+// the same execution- and data-cost primitives the GrADS scheduler ranks
+// with (core.Scheduler's ECost, DCost and memoized TransferTime). It
+// implements the HEFT family — HEFT (upward-rank priority with
+// earliest-finish-time gap insertion), CPOP (critical path on a processor)
+// — a sufferage list variant, and a min-min adapter that reproduces
+// core.Scheduler's min-min schedule exactly. Timelines support advance
+// reservations: pre-claimed intervals (a metascheduler's EASY backfill
+// guarantee, or the already-running tasks of a mid-execution rescheduling
+// pass) that every heuristic schedules around and the validity harness
+// verifies are preserved.
 package listsched
 
 import (

@@ -1,30 +1,34 @@
 package perfmodel
 
-import "strconv"
+import "grads/internal/topology"
 
 // DefaultCacheEntries bounds a Cache created with NewCache(0).
 const DefaultCacheEntries = 1 << 16
 
-// Cache memoizes performance-model evaluations keyed by an application key
-// plus a nodeset signature. Schedulers re-evaluate identical (component,
-// node, availability) combinations thousands of times per search — three
-// heuristics times many rounds over the same matrix — and reschedulers
-// re-price the same candidate sets every tick; the model evaluations are
-// pure, so their results can be replayed from the cache bit-identically.
-//
-// Correctness rests on the key actually covering every input of the
-// evaluation: callers build signatures with Sig, including every float
-// (problem size, availability, virtual time for time-varying estimates)
-// that the computation reads. Sig encodes floats losslessly, so a cache hit
-// returns exactly the float64 a fresh evaluation would produce, and cached
-// and uncached runs are indistinguishable — eviction only ever costs time,
-// never changes a result.
+// TransferKey identifies one point-to-point transfer estimate: the two end
+// nodes, the byte count (as math.Float64bits, so distinct float64 values
+// never collide and equal ones always hit) and the network's state version,
+// which covers the flow set, background load, degradations and latency
+// factors the estimate reads.
+type TransferKey struct {
+	From, To *topology.Node
+	Bytes    uint64
+	Version  int64
+}
+
+// Cache memoizes transfer estimates. Schedulers re-estimate the same
+// transfers thousands of times per search — three heuristics times many
+// rounds over the same matrix — and a network estimate is expensive; it is
+// pure in its TransferKey, so a hit returns exactly the float64 a fresh
+// estimate would produce. Cached and uncached searches are therefore
+// indistinguishable, and eviction only ever costs time, never changes a
+// result.
 //
 // Cache is not safe for concurrent use; like the rest of the emulator it
 // lives in single-threaded simulation code.
 type Cache struct {
 	max    int
-	m      map[string]float64
+	m      map[TransferKey]float64
 	hits   uint64
 	misses uint64
 	resets uint64
@@ -32,18 +36,18 @@ type Cache struct {
 
 // NewCache creates a cache bounded to max entries; max <= 0 selects
 // DefaultCacheEntries. When the bound is reached the cache is cleared
-// wholesale (evaluations are cheap enough that LRU bookkeeping would cost
-// more than the occasional cold restart).
+// wholesale (LRU bookkeeping would cost more than the occasional cold
+// restart).
 func NewCache(max int) *Cache {
 	if max <= 0 {
 		max = DefaultCacheEntries
 	}
-	return &Cache{max: max, m: make(map[string]float64)}
+	return &Cache{max: max, m: make(map[TransferKey]float64)}
 }
 
-// Lookup returns the memoized value for (app, sig) and whether it was found.
-func (c *Cache) Lookup(app, sig string) (float64, bool) {
-	v, ok := c.m[app+"\x00"+sig]
+// Lookup returns the memoized estimate for k and whether it was found.
+func (c *Cache) Lookup(k TransferKey) (float64, bool) {
+	v, ok := c.m[k]
 	if ok {
 		c.hits++
 	} else {
@@ -52,45 +56,15 @@ func (c *Cache) Lookup(app, sig string) (float64, bool) {
 	return v, ok
 }
 
-// Store memoizes a value for (app, sig).
-func (c *Cache) Store(app, sig string, v float64) {
+// Store memoizes the estimate for k.
+func (c *Cache) Store(k TransferKey, v float64) {
 	if len(c.m) >= c.max {
 		clear(c.m)
 		c.resets++
 	}
-	c.m[app+"\x00"+sig] = v
+	c.m[k] = v
 }
 
 // Stats returns the lookup hit and miss counts and how many times the cache
 // was cleared on overflow.
 func (c *Cache) Stats() (hits, misses, resets uint64) { return c.hits, c.misses, c.resets }
-
-// Sig incrementally builds a cache signature from the inputs of a model
-// evaluation. The zero value is ready to use. Floats are encoded in the
-// shortest form that round-trips exactly, so distinct float64 values never
-// collide; fields are separated so concatenations cannot alias.
-type Sig struct{ buf []byte }
-
-// S appends a string field.
-func (s *Sig) S(v string) *Sig {
-	s.buf = append(s.buf, v...)
-	s.buf = append(s.buf, '|')
-	return s
-}
-
-// F appends a float field, encoded losslessly.
-func (s *Sig) F(v float64) *Sig {
-	s.buf = strconv.AppendFloat(s.buf, v, 'g', -1, 64)
-	s.buf = append(s.buf, '|')
-	return s
-}
-
-// I appends an integer field (version counters, sizes).
-func (s *Sig) I(v int64) *Sig {
-	s.buf = strconv.AppendInt(s.buf, v, 10)
-	s.buf = append(s.buf, '|')
-	return s
-}
-
-// String returns the accumulated signature.
-func (s *Sig) String() string { return string(s.buf) }

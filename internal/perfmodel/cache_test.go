@@ -3,15 +3,18 @@ package perfmodel
 import (
 	"math"
 	"testing"
+
+	"grads/internal/topology"
 )
 
 func TestCacheMemoizesExactly(t *testing.T) {
 	c := NewCache(0)
-	if _, ok := c.Lookup("app", "sig"); ok {
+	k := TransferKey{From: new(topology.Node), To: new(topology.Node), Bytes: math.Float64bits(1e6), Version: 3}
+	if _, ok := c.Lookup(k); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Store("app", "sig", 42.5)
-	if v, ok := c.Lookup("app", "sig"); !ok || v != 42.5 {
+	c.Store(k, 42.5)
+	if v, ok := c.Lookup(k); !ok || v != 42.5 {
 		t.Fatalf("Lookup after Store = %v, %v", v, ok)
 	}
 	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
@@ -19,48 +22,31 @@ func TestCacheMemoizesExactly(t *testing.T) {
 	}
 }
 
+// TestCacheKeysDoNotAlias: a key differing from a stored one in any single
+// field — direction, node identity, size or network version — misses.
 func TestCacheKeysDoNotAlias(t *testing.T) {
+	a, b, b2 := new(topology.Node), new(topology.Node), new(topology.Node)
+	k := TransferKey{From: a, To: b, Bytes: math.Float64bits(8), Version: 1}
 	c := NewCache(0)
-	c.Store("ab", "c", 1)
-	if _, ok := c.Lookup("a", "bc"); ok {
-		t.Fatal("app/sig concatenation aliased across the separator")
-	}
-	// Sig field boundaries must not alias either.
-	var a, b Sig
-	a.S("x").S("yz")
-	b.S("xy").S("z")
-	if a.String() == b.String() {
-		t.Fatalf("Sig aliased: %q == %q", a.String(), b.String())
-	}
-}
-
-func TestSigFloatsAreLossless(t *testing.T) {
-	vals := []float64{0, math.Copysign(0, -1), 1.0 / 3.0, 1e300, 5e-324, 0.1, 0.1 + 1e-17}
-	seen := map[string]float64{}
-	for _, v := range vals {
-		var s Sig
-		s.F(v)
-		k := s.String()
-		if prev, dup := seen[k]; dup && prev != v {
-			t.Fatalf("distinct floats %v and %v share signature %q", prev, v, k)
+	c.Store(k, 1)
+	for name, other := range map[string]TransferKey{
+		"reversed": {From: b, To: a, Bytes: k.Bytes, Version: k.Version},
+		"node":     {From: a, To: b2, Bytes: k.Bytes, Version: k.Version},
+		"bytes":    {From: a, To: b, Bytes: math.Float64bits(9), Version: k.Version},
+		"version":  {From: a, To: b, Bytes: k.Bytes, Version: 2},
+	} {
+		if _, ok := c.Lookup(other); ok {
+			t.Errorf("%s: key aliased the stored one", name)
 		}
-		seen[k] = v
-	}
-	// 0.1 + 1e-17 rounds to exactly 0.1 in float64: equal values must share
-	// a signature (hit), distinct values must not (no silent wrong answer).
-	var s1, s2 Sig
-	s1.F(0.1)
-	s2.F(0.1 + 1e-17)
-	if s1.String() != s2.String() {
-		t.Fatalf("bit-equal floats got distinct signatures %q / %q", s1.String(), s2.String())
 	}
 }
 
 func TestCacheOverflowClearsAndStaysCorrect(t *testing.T) {
 	c := NewCache(4)
-	sigs := []string{"a", "b", "c", "d", "e", "f"}
-	for i, s := range sigs {
-		c.Store("app", s, float64(i))
+	keys := make([]TransferKey, 6)
+	for i := range keys {
+		keys[i] = TransferKey{Bytes: math.Float64bits(float64(i + 1))}
+		c.Store(keys[i], float64(i))
 	}
 	if len(c.m) > 4 {
 		t.Fatalf("cache grew past its bound: %d entries", len(c.m))
@@ -69,9 +55,9 @@ func TestCacheOverflowClearsAndStaysCorrect(t *testing.T) {
 		t.Fatal("overflow did not clear the cache")
 	}
 	// Whatever survives must still be correct.
-	for i, s := range sigs {
-		if v, ok := c.Lookup("app", s); ok && v != float64(i) {
-			t.Fatalf("entry %q corrupted: %v", s, v)
+	for i, k := range keys {
+		if v, ok := c.Lookup(k); ok && v != float64(i) {
+			t.Fatalf("entry %d corrupted: %v", i, v)
 		}
 	}
 }

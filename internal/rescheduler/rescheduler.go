@@ -16,10 +16,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"grads/internal/nws"
-	"grads/internal/perfmodel"
 	"grads/internal/simcore"
 	"grads/internal/telemetry"
 	"grads/internal/topology"
@@ -50,16 +48,6 @@ type Estimator interface {
 	RestartOverhead() float64
 }
 
-// ProgressVersioned is an optional Estimator extension: a value that
-// identifies the estimator's internal progress state (e.g. panels or tasks
-// completed). Estimators that implement it get their RemainingTime
-// predictions memoized — the version, the node set with availabilities, and
-// the node sites' LAN figures form the cache key, so predictions are only
-// replayed while every input is unchanged.
-type ProgressVersioned interface {
-	ProgressVersion() int64
-}
-
 // Decision is the outcome of one evaluation.
 type Decision struct {
 	Migrate          bool
@@ -82,19 +70,11 @@ type Rescheduler struct {
 
 	// MinBenefit is the required predicted gain before migrating.
 	MinBenefit float64
-
-	// Cache memoizes RemainingTime predictions for ProgressVersioned
-	// estimators across the repeated candidate evaluations the metascheduler
-	// makes every planning tick. nil disables memoization.
-	Cache *perfmodel.Cache
-
-	estKeys map[Estimator]string // stable per-estimator cache-key prefixes
-	nextEst int
 }
 
-// New creates a default-mode rescheduler with a prediction cache.
+// New creates a default-mode rescheduler.
 func New(grid *topology.Grid, weather *nws.Service) *Rescheduler {
-	return &Rescheduler{Grid: grid, Weather: weather, Cache: perfmodel.NewCache(0)}
+	return &Rescheduler{Grid: grid, Weather: weather}
 }
 
 // avail returns the forecast availability of a node, falling back to the
@@ -147,65 +127,19 @@ func (r *Rescheduler) EstimateMigrationCost(app Estimator, from, to []*topology.
 	return cost
 }
 
-// appKey returns the memoization prefix for an estimator — its stable
-// identity plus its current progress version — or "" when the estimator
-// does not opt in to caching.
-func (r *Rescheduler) appKey(app Estimator) string {
-	pv, ok := app.(ProgressVersioned)
-	if !ok || r.Cache == nil {
-		return ""
-	}
-	if r.estKeys == nil {
-		r.estKeys = make(map[Estimator]string)
-	}
-	k, ok := r.estKeys[app]
-	if !ok {
-		r.nextEst++
-		k = "e" + strconv.Itoa(r.nextEst)
-		r.estKeys[app] = k
-	}
-	return k + "@" + strconv.FormatInt(pv.ProgressVersion(), 10)
-}
-
-// remaining predicts app's remaining time on nodes, memoized when the
-// estimator is ProgressVersioned. The signature covers everything the QR and
-// task-farm models read: each node's identity and availability plus its
-// site's LAN capacity and latency.
-func (r *Rescheduler) remaining(app Estimator, appKey string, nodes []*topology.Node) float64 {
-	if appKey == "" {
-		return app.RemainingTime(nodes, r.avail)
-	}
-	var sig perfmodel.Sig
-	sig.S(appKey)
-	for _, n := range nodes {
-		sig.S(n.Name()).F(r.avail(n))
-		if site := n.Site(); site != nil && site.LAN != nil {
-			sig.F(site.LAN.Capacity()).F(site.LAN.Latency())
-		}
-	}
-	key := sig.String()
-	if v, ok := r.Cache.Lookup("remaining", key); ok {
-		return v
-	}
-	v := app.RemainingTime(nodes, r.avail)
-	r.Cache.Store("remaining", key, v)
-	return v
-}
-
 // Evaluate compares staying on current against the best of the candidate
 // node sets. The forced modes override the profitability test but the
 // returned numbers always reflect the true prediction.
 func (r *Rescheduler) Evaluate(app Estimator, current []*topology.Node, candidates [][]*topology.Node) Decision {
-	ak := r.appKey(app)
 	d := Decision{
-		CurrentRemaining: r.remaining(app, ak, current),
+		CurrentRemaining: app.RemainingTime(current, r.avail),
 		TargetRemaining:  math.Inf(1),
 	}
 	for _, cand := range candidates {
 		if len(cand) == 0 || sameNodes(cand, current) {
 			continue
 		}
-		if t := r.remaining(app, ak, cand); t < d.TargetRemaining {
+		if t := app.RemainingTime(cand, r.avail); t < d.TargetRemaining {
 			d.TargetRemaining = t
 			d.Target = cand
 		}
