@@ -367,10 +367,11 @@ func Run(cfg Config) (*Result, error) {
 			res.FailedJobs = append(res.FailedJobs, fmt.Sprintf("%s: %v", j.Spec.Name, j.Err()))
 		}
 	}
-	for _, r := range sched.Records() {
+	recs := sched.Records()
+	for _, r := range recs {
 		res.Requeues += r.Requeues
 	}
-	res.PerClass = classStats(sched.Records())
+	res.PerClass = classStats(recs)
 	return res, nil
 }
 

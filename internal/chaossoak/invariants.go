@@ -2,6 +2,7 @@ package chaossoak
 
 import (
 	"fmt"
+	"strings"
 
 	"grads/internal/metasched"
 	"grads/internal/simcore"
@@ -108,7 +109,7 @@ func (c *checker) sweep(now float64) {
 	}
 	if sum != c.jobs {
 		c.violate(now, "job-conservation",
-			fmt.Sprintf("state counts sum to %d, submitted %d (counts %v)", sum, c.jobs, counts))
+			fmt.Sprintf("state counts sum to %d, submitted %d (%s)", sum, c.jobs, formatCounts(counts)))
 	}
 	if q := counts[metasched.JobQueued]; q != c.sched.QueueDepth() {
 		c.violate(now, "job-conservation",
@@ -144,4 +145,17 @@ func (c *checker) sweep(now float64) {
 			fmt.Sprintf("%d corrupt checkpoint reads reached applications", served-c.lastServed))
 	}
 	c.lastServed = served
+}
+
+// formatCounts renders a state tally as "pending=… queued=… …", in
+// lifecycle order.
+func formatCounts(counts [metasched.JobQuarantined + 1]int) string {
+	var b strings.Builder
+	for st, n := range counts {
+		if st > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", metasched.JobState(st), n)
+	}
+	return b.String()
 }

@@ -246,10 +246,11 @@ type Scheduler struct {
 	byName map[string]*Job
 	queued []*Job // always in admission order under the policy
 
-	// Scratch reused by every round: the running jobs and their estimated
-	// lease releases.
+	// Scratch reused by every round: the running jobs, their estimated
+	// lease releases, and the round's NWS availability view by node name.
 	running  []*Job
 	releases []release
+	avail    map[string]float64
 
 	proc      *simcore.Proc
 	inRound   bool
@@ -440,19 +441,23 @@ func (s *Scheduler) kick() {
 	s.cfg.Sim.Spawn(s.comp+"-kick", func(p *simcore.Proc) { s.round(p) })
 }
 
-// avail builds the shared availability view for one round from a single NWS
-// snapshot, so every decision of the round ranks nodes identically.
+// availFn builds the shared availability view for one round from a single
+// pass over the NWS forecasts, so every decision of the round ranks nodes
+// identically. The view is a map the scheduler reuses: rounds never
+// overlap (inRound), and the returned closure is not used past its round.
 func (s *Scheduler) availFn(nodes []*topology.Node) func(*topology.Node) float64 {
 	if s.cfg.Weather == nil {
 		return func(n *topology.Node) float64 { return n.CPU.Availability() }
 	}
-	names := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		names = append(names, n.Name())
+	if s.avail == nil {
+		s.avail = make(map[string]float64, len(nodes))
 	}
-	snap := s.cfg.Weather.CPUSnapshot(names)
+	clear(s.avail)
+	for _, n := range nodes {
+		s.avail[n.Name()] = s.cfg.Weather.CPUForecast(n.Name())
+	}
 	return func(n *topology.Node) float64 {
-		if v, ok := snap[n.Name()]; ok {
+		if v, ok := s.avail[n.Name()]; ok {
 			return v
 		}
 		return 1
@@ -806,19 +811,22 @@ func (s *Scheduler) Quarantined() int { return s.quarantined }
 // storms.
 func (s *Scheduler) Brownouts() int { return s.brownouts }
 
-// StateCounts tallies every submitted job by lifecycle state — the
-// conservation ledger the chaos soak checks each tick: the counts must
-// always sum to the number of submissions, whatever faults are in flight.
-func (s *Scheduler) StateCounts() map[JobState]int {
-	out := make(map[JobState]int)
+// StateCounts tallies every submitted job by lifecycle state, indexed by
+// JobState — the conservation ledger the chaos soak checks each tick: the
+// counts must always sum to the number of submissions, whatever faults are
+// in flight. It recounts from the jobs on every call, so the ledger checks
+// the job states themselves rather than a tally kept beside them.
+func (s *Scheduler) StateCounts() [JobQuarantined + 1]int {
+	var out [JobQuarantined + 1]int
 	for _, j := range s.jobs {
 		out[j.state]++
 	}
 	return out
 }
 
-// Jobs returns every submitted job, by ID.
-func (s *Scheduler) Jobs() []*Job { return append([]*Job(nil), s.jobs...) }
+// Jobs returns every submitted job, by ID. The slice is the scheduler's
+// own: callers must not modify it or keep it across a Submit.
+func (s *Scheduler) Jobs() []*Job { return s.jobs }
 
 // Records flattens every job's outcome, ordered by ID.
 func (s *Scheduler) Records() []Record {

@@ -65,76 +65,96 @@ func (f *RunningMean) Forecast() float64 {
 	return f.sum / float64(f.n)
 }
 
+// window is a fixed ring of the last w observations, allocated once at
+// construction so sliding forecasters update without allocating.
+type window struct {
+	buf  []float64 // cap w; len grows to w, then stays
+	next int       // slot the next observation overwrites once full
+}
+
+func newWindow(w int) window {
+	if w < 1 {
+		w = 1
+	}
+	return window{buf: make([]float64, 0, w)}
+}
+
+func (r *window) push(v float64) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	if r.next++; r.next == len(r.buf) {
+		r.next = 0
+	}
+}
+
+// oldestFirst returns the ring's two segments in arrival order.
+func (r *window) oldestFirst() (older, newer []float64) {
+	return r.buf[r.next:], r.buf[:r.next]
+}
+
 // SlidingMean predicts the mean of the last w observations.
 type SlidingMean struct {
-	w   int
-	buf []float64
+	win window
 }
 
 // NewSlidingMean creates a sliding-window mean predictor of width w (>= 1).
 func NewSlidingMean(w int) *SlidingMean {
-	if w < 1 {
-		w = 1
-	}
-	return &SlidingMean{w: w}
+	return &SlidingMean{win: newWindow(w)}
 }
 
 // Name implements Forecaster.
 func (f *SlidingMean) Name() string { return "swmean" }
 
 // Update implements Forecaster.
-func (f *SlidingMean) Update(v float64) {
-	f.buf = append(f.buf, v)
-	if len(f.buf) > f.w {
-		f.buf = f.buf[1:]
-	}
-}
+func (f *SlidingMean) Update(v float64) { f.win.push(v) }
 
-// Forecast implements Forecaster.
+// Forecast implements Forecaster. It sums oldest to newest: float addition
+// is not associative, and forecasts feed scheduling decisions.
 func (f *SlidingMean) Forecast() float64 {
-	if len(f.buf) == 0 {
+	n := len(f.win.buf)
+	if n == 0 {
 		return math.NaN()
 	}
+	older, newer := f.win.oldestFirst()
 	sum := 0.0
-	for _, v := range f.buf {
+	for _, v := range older {
 		sum += v
 	}
-	return sum / float64(len(f.buf))
+	for _, v := range newer {
+		sum += v
+	}
+	return sum / float64(n)
 }
 
 // SlidingMedian predicts the median of the last w observations; it is robust
 // to the load spikes common in grid CPU series.
 type SlidingMedian struct {
-	w   int
-	buf []float64
+	win     window
+	scratch []float64 // cap w; the sorted copy Forecast reads
 }
 
 // NewSlidingMedian creates a sliding-window median predictor of width w.
 func NewSlidingMedian(w int) *SlidingMedian {
-	if w < 1 {
-		w = 1
-	}
-	return &SlidingMedian{w: w}
+	win := newWindow(w)
+	return &SlidingMedian{win: win, scratch: make([]float64, 0, cap(win.buf))}
 }
 
 // Name implements Forecaster.
 func (f *SlidingMedian) Name() string { return "swmedian" }
 
 // Update implements Forecaster.
-func (f *SlidingMedian) Update(v float64) {
-	f.buf = append(f.buf, v)
-	if len(f.buf) > f.w {
-		f.buf = f.buf[1:]
-	}
-}
+func (f *SlidingMedian) Update(v float64) { f.win.push(v) }
 
 // Forecast implements Forecaster.
 func (f *SlidingMedian) Forecast() float64 {
-	n := len(f.buf)
+	n := len(f.win.buf)
 	if n == 0 {
 		return math.NaN()
 	}
-	tmp := append([]float64(nil), f.buf...)
+	tmp := append(f.scratch[:0], f.win.buf...)
 	sort.Float64s(tmp)
 	if n%2 == 1 {
 		return tmp[n/2]

@@ -3,6 +3,7 @@ package nws
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -163,5 +164,113 @@ func TestQuickConstantSeriesExact(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(32))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSlidingMean and refSlidingMedian are the append-and-slide forecasters
+// the fixed rings replaced, kept as the reference the rings must match bit
+// for bit.
+type refSlidingMean struct {
+	w   int
+	buf []float64
+}
+
+func (f *refSlidingMean) Update(v float64) {
+	f.buf = append(f.buf, v)
+	if len(f.buf) > f.w {
+		f.buf = f.buf[1:]
+	}
+}
+
+func (f *refSlidingMean) Forecast() float64 {
+	if len(f.buf) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for _, v := range f.buf {
+		sum += v
+	}
+	return sum / float64(len(f.buf))
+}
+
+type refSlidingMedian struct {
+	w   int
+	buf []float64
+}
+
+func (f *refSlidingMedian) Update(v float64) {
+	f.buf = append(f.buf, v)
+	if len(f.buf) > f.w {
+		f.buf = f.buf[1:]
+	}
+}
+
+func (f *refSlidingMedian) Forecast() float64 {
+	n := len(f.buf)
+	if n == 0 {
+		return math.NaN()
+	}
+	tmp := append([]float64(nil), f.buf...)
+	sort.Float64s(tmp)
+	if n%2 == 1 {
+		return tmp[n/2]
+	}
+	return (tmp[n/2-1] + tmp[n/2]) / 2
+}
+
+// TestSlidingRingsMatchReference: over seeded series whose values span
+// many magnitudes, so that summation order shows in the low bits, every
+// forecast of the ring-backed predictors equals the reference's bit for
+// bit — before any observation, while the window fills, and after it
+// slides.
+func TestSlidingRingsMatchReference(t *testing.T) {
+	for _, w := range []int{1, 2, 10} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pairs := []struct {
+				got, want interface {
+					Update(float64)
+					Forecast() float64
+				}
+			}{
+				{NewSlidingMean(w), &refSlidingMean{w: w}},
+				{NewSlidingMedian(w), &refSlidingMedian{w: w}},
+			}
+			for i := 0; i <= 5*w+7; i++ {
+				for _, p := range pairs {
+					if got, want := p.got.Forecast(), p.want.Forecast(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%T w=%d seed=%d after %d values: %v, reference %v", p.got, w, seed, i, got, want)
+					}
+				}
+				v := rng.Float64() * math.Pow(10, float64(rng.Intn(17)-8))
+				for _, p := range pairs {
+					p.got.Update(v)
+					p.want.Update(v)
+				}
+			}
+		}
+	}
+}
+
+var forecastSink float64
+
+// BenchmarkEnsembleUpdate is one NWS measurement on a warm series: the
+// default six-member ensemble scores and updates every member, then
+// forecasts, with both sliding windows already full.
+func BenchmarkEnsembleUpdate(b *testing.B) {
+	e := NewEnsemble()
+	rng := rand.New(rand.NewSource(1))
+	vs := make([]float64, 64)
+	for i := range vs {
+		vs[i] = rng.Float64()
+	}
+	for _, v := range vs[:20] {
+		e.Update(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e.Update(vs[n%len(vs)])
+		forecastSink = e.Forecast()
 	}
 }

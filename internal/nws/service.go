@@ -228,18 +228,6 @@ func (s *Service) CPUForecast(node string) float64 {
 	return f
 }
 
-// CPUSnapshot returns the availability forecast of every named node in one
-// map — a shared view the metascheduler hands to all the admission
-// decisions of one round, so competing jobs are ranked against identical
-// forecasts rather than forecasts drifting between queries.
-func (s *Service) CPUSnapshot(nodes []string) map[string]float64 {
-	out := make(map[string]float64, len(nodes))
-	for _, n := range nodes {
-		out[n] = s.CPUForecast(n)
-	}
-	return out
-}
-
 // BandwidthForecast predicts the bytes/s a new flow between the two sites
 // would receive. Unmeasured pairs fall back to the instantaneous estimate.
 func (s *Service) BandwidthForecast(siteA, siteB string) float64 {
