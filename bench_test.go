@@ -260,26 +260,6 @@ func BenchmarkPolyfitCubic(b *testing.B) {
 	}
 }
 
-func BenchmarkMRDPredict(b *testing.B) {
-	ns := []float64{100, 200, 300, 400, 500}
-	hists := make([]perfmodel.Histogram, len(ns))
-	for i, n := range ns {
-		hists[i] = perfmodel.Histogram{
-			{Dist: 64, Count: 100 * n},
-			{Dist: 2 * n, Count: 10 * n},
-			{Dist: n * n / 8, Count: n},
-		}
-	}
-	m, err := perfmodel.FitMRD(ns, hists, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Misses(float64(1000+i%1000), 16384)
-	}
-}
-
 func BenchmarkHouseholderQR64(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	a := linalg.Random(rng, 64, 64)

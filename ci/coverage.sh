@@ -27,14 +27,15 @@
 # NAME without its receiver (internal/metasched/scheduler.go:quarantine).
 # simbench's own package is left out: the lists cover the root module.
 #
-# Fails if any run exits non-zero, if unreached.txt names a function that
-# ci/coverage-allow.txt does not list, or if the allowlist names a function
-# that is no longer unreached. Allowlist lines are "FILE:NAME reason", and
-# the reason is required; '#' starts a comment. Run from the repository root.
+# Fails if any run exits non-zero, or if a list and its allowlist differ:
+# unreached.txt must equal ci/coverage-allow.txt and test-only.txt must equal
+# ci/coverage-test-only.txt. Allowlist lines are "FILE:NAME reason", and the
+# reason is required; '#' starts a comment. Run from the repository root.
 set -euo pipefail
 
 out=${1:-coverage-out}
 allow=ci/coverage-allow.txt
+allow_test=ci/coverage-test-only.txt
 mkdir -p "$out"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -87,6 +88,10 @@ reject "$bin/gradsim" -zoo chain -heuristic nosuch
 reject "$bin/gradsim" -arrivals 'poisson@0-10:rate=0.1' -route nosuch
 reject "$bin/gradsim" -exp fig3 -csv
 reject "$bin/gradsim" -shards 0
+reject "$bin/gradsim" -exp fig3 -faults 'crash@50:utk1'
+reject "$bin/gradsim" -exp fig3 -heuristic heft
+reject "$bin/gradsim" -exp fig3 -route rr
+reject "$bin/gradsim" -exp eman-dag -trace "$work/run/a.json" -trace-jsonl "$work/run/nodir/b.jsonl"
 
 # Every determinism case of the CI matrix, as "case|args|args_b" lines.
 cases=$(awk '
@@ -156,20 +161,26 @@ sort -u -o "$out/test-only.txt" "$out/test-only.txt"
     echo "test-only functions:  $(wc -l <"$out/test-only.txt")"
 } | tee "$out/totals.txt"
 
-# Gate: the unreached list must equal the allowlist, and every allowlist
-# entry needs a reason.
+# Gate: each list must equal its allowlist, and every allowlist entry needs
+# a reason. gate LIST ALLOWLIST WHAT sets fail=1 on any mismatch; WHAT says
+# what the list's functions have in common.
 fail=0
-if awk '!/^[[:space:]]*(#|$)/ && NF < 2' "$allow" | grep .; then
-    echo "FAIL: the $allow entries above give no reason" >&2
-    fail=1
-fi
-awk '!/^[[:space:]]*(#|$)/ { print $1 }' "$allow" | sort -u >"$work/allowed"
-if comm -23 "$out/unreached.txt" "$work/allowed" | grep .; then
-    echo "FAIL: nothing reaches the functions above; delete them or add them to $allow with a reason" >&2
-    fail=1
-fi
-if comm -13 "$out/unreached.txt" "$work/allowed" | grep .; then
-    echo "FAIL: $allow lists the functions above, which are now reached or gone; drop them" >&2
-    fail=1
-fi
+gate() {
+    local list=$1 allowlist=$2 what=$3
+    if awk '!/^[[:space:]]*(#|$)/ && NF < 2' "$allowlist" | grep .; then
+        echo "FAIL: the $allowlist entries above give no reason" >&2
+        fail=1
+    fi
+    awk '!/^[[:space:]]*(#|$)/ { print $1 }' "$allowlist" | sort -u >"$work/allowed"
+    if comm -23 "$list" "$work/allowed" | grep .; then
+        echo "FAIL: $what the functions above; delete them or add them to $allowlist with a reason" >&2
+        fail=1
+    fi
+    if comm -13 "$list" "$work/allowed" | grep .; then
+        echo "FAIL: $allowlist lists the functions above, which are no longer in $(basename "$list") (now reached otherwise, or gone); drop them" >&2
+        fail=1
+    fi
+}
+gate "$out/unreached.txt" "$allow" "nothing reaches"
+gate "$out/test-only.txt" "$allow_test" "only tests reach"
 exit "$fail"

@@ -125,10 +125,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Every input is checked before any output file is created, so bad
-	// input fails cleanly and leaves nothing behind.
+	// input fails cleanly and leaves nothing behind. A second run mode, or
+	// -heuristic or -route without the mode it tunes, is bad input too:
+	// otherwise it would be silently ignored.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var modes []string
+	for _, m := range []string{"exp", "faults", "jobs", "zoo", "arrivals"} {
+		if set[m] {
+			modes = append(modes, "-"+m)
+		}
+	}
 	var job func(grads.Options) (string, error)
 	var bad error
 	switch {
+	case len(modes) > 1:
+		bad = fmt.Errorf("%s: give one of -exp, -faults, -jobs, -zoo or -arrivals", strings.Join(modes, " and "))
+	case set["heuristic"] && *zoo == "":
+		bad = errors.New("-heuristic applies only to -zoo")
+	case set["route"] && *arrivals == "":
+		bad = errors.New("-route applies only to -arrivals")
 	case *shards < 1:
 		bad = fmt.Errorf("-shards %d: need at least one shard kernel", *shards)
 	case *zoo != "":
@@ -164,21 +180,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tel *telemetry.Telemetry
 	if *traceOut != "" || *jsonlOut != "" || *metrics {
 		tel = telemetry.New()
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(stderr, "gradsim:", err)
-				return 1
-			}
-			tel.AddSink(telemetry.NewChromeSink(f))
+		sinks := []struct {
+			path string
+			sink func(io.Writer) telemetry.Sink
+		}{
+			{*traceOut, func(w io.Writer) telemetry.Sink { return telemetry.NewChromeSink(w) }},
+			{*jsonlOut, func(w io.Writer) telemetry.Sink { return telemetry.NewJSONL(w) }},
 		}
-		if *jsonlOut != "" {
-			f, err := os.Create(*jsonlOut)
+		var created []*os.File
+		for _, s := range sinks {
+			if s.path == "" {
+				continue
+			}
+			f, err := os.Create(s.path)
 			if err != nil {
+				// Leave no earlier output file behind.
+				for _, c := range created {
+					c.Close()
+					os.Remove(c.Name())
+				}
 				fmt.Fprintln(stderr, "gradsim:", err)
 				return 1
 			}
-			tel.AddSink(telemetry.NewJSONL(f))
+			created = append(created, f)
+			tel.AddSink(s.sink(f))
 		}
 		opts.Telemetry = tel
 	}

@@ -10,8 +10,10 @@ import (
 
 // TestUnknownExperimentCreatesNoTraceFiles: rejected input — an unknown
 // experiment, a malformed spec, route or heuristic, a -csv target without a
-// CSV form, or a shard count below 1 — fails with a non-zero status before
-// either trace sink is opened, so no file is left behind.
+// CSV form, a shard count below 1, or a flag the chosen run mode would
+// ignore (a second run mode, -heuristic without -zoo, -route without
+// -arrivals) — fails with a non-zero status before either trace sink is
+// opened, so no file is left behind.
 func TestUnknownExperimentCreatesNoTraceFiles(t *testing.T) {
 	cases := []struct {
 		name string
@@ -28,6 +30,11 @@ func TestUnknownExperimentCreatesNoTraceFiles(t *testing.T) {
 		{"csv-untabular", []string{"-exp", "fig3", "-csv"}, "no CSV form"},
 		{"shards-zero", []string{"-shards", "0"}, "-shards 0"},
 		{"shards-negative", []string{"-exp", "scale-smoke", "-shards", "-3"}, "-shards -3"},
+		{"zoo-and-jobs", []string{"-zoo", "chain", "-jobs", "qr@0:n=100,w=4"}, "-jobs and -zoo"},
+		{"exp-and-faults", []string{"-exp", "fig3", "-faults", "crash@50:utk1"}, "-exp and -faults"},
+		{"exp-and-arrivals", []string{"-exp", "all", "-arrivals", "poisson@0-10:rate=0.1"}, "-exp and -arrivals"},
+		{"heuristic-without-zoo", []string{"-exp", "fig3", "-heuristic", "nosuch"}, "-heuristic applies only to -zoo"},
+		{"route-without-arrivals", []string{"-jobs", "qr@0:n=100,w=4", "-route", "rr"}, "-route applies only to -arrivals"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,15 +52,38 @@ func TestUnknownExperimentCreatesNoTraceFiles(t *testing.T) {
 			if stdout.Len() != 0 {
 				t.Fatalf("rejected input wrote stdout %q", stdout.String())
 			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				t.Errorf("left behind %s", e.Name())
-			}
+			expectEmptyDir(t, dir)
 		})
 	}
+}
+
+// expectEmptyDir fails the test for every entry left in dir.
+func expectEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("left behind %s", e.Name())
+	}
+}
+
+// TestFailedTraceCreateRemovesEarlierOutput: when the second trace file
+// cannot be created, the first one, already created, is closed and removed.
+func TestFailedTraceCreateRemovesEarlierOutput(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-exp", "eman-dag",
+		"-trace", filepath.Join(dir, "a.json"),
+		"-trace-jsonl", filepath.Join(dir, "nodir", "b.jsonl")}
+	if code := run(args, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "nodir") {
+		t.Fatalf("stderr %q does not name the failed path", stderr.String())
+	}
+	expectEmptyDir(t, dir)
 }
 
 // TestCSVPrintsTable: -csv prints the report's table, header first.

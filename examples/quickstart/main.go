@@ -40,7 +40,7 @@ func main() {
 		for n := 1.0; n <= 5; n++ {
 			samples = append(samples, perfmodel.Sample{N: n, Flops: flopsPerUnit * n})
 		}
-		m, err := perfmodel.FitComponent(name, samples, 1, 0)
+		m, err := perfmodel.FitComponent(name, samples, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func EMANWorkflow(n float64, width int) (*core.Workflow, error) {
 		for s := 50.0; s <= 250; s += 50 {
 			samples = append(samples, perfmodel.Sample{N: s, Flops: st.flops(s)})
 		}
-		model, err := perfmodel.FitComponent(st.name, samples, 2, 0)
+		model, err := perfmodel.FitComponent(st.name, samples, 2)
 		if err != nil {
 			return nil, fmt.Errorf("apps: fitting %s: %w", st.name, err)
 		}
@@ -97,7 +97,7 @@ func RandomWorkflow(rng *rand.Rand, layers, width, fanin int) (*core.Workflow, e
 			samples := []perfmodel.Sample{
 				{N: 1, Flops: scale}, {N: 2, Flops: 2 * scale}, {N: 3, Flops: 3 * scale},
 			}
-			model, err := perfmodel.FitComponent(fmt.Sprintf("t%d.%d", l, i), samples, 1, 0)
+			model, err := perfmodel.FitComponent(fmt.Sprintf("t%d.%d", l, i), samples, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -11,10 +11,8 @@ import (
 
 	"grads/internal/binder"
 	"grads/internal/cop"
-	"grads/internal/linalg"
 	"grads/internal/mpi"
 	"grads/internal/nws"
-	"grads/internal/perfmodel"
 	"grads/internal/simcore"
 	"grads/internal/srs"
 	"grads/internal/topology"
@@ -40,7 +38,6 @@ type QR struct {
 	bind    *binder.Binder
 	weather *nws.Service
 
-	model      *perfmodel.ComponentModel
 	maxProcs   int
 	donePanels int
 
@@ -53,41 +50,16 @@ type QR struct {
 	stopped  bool
 }
 
-// NewQR fits the QR component model from small-run profiles (§3.2
-// methodology) and returns the COP.
+// NewQR returns the COP for an n x n QR factorization in nb-wide panels.
 func NewQR(grid *topology.Grid, rss *srs.RSS, b *binder.Binder, w *nws.Service, n, nb int) (*QR, error) {
 	if n <= 0 || nb <= 0 || nb > n {
 		return nil, fmt.Errorf("apps: bad QR dimensions n=%d nb=%d", n, nb)
 	}
-	var samples []perfmodel.Sample
-	for s := 200.0; s <= 1000; s += 200 {
-		samples = append(samples, perfmodel.Sample{
-			N:     s,
-			Flops: linalg.QRFlops(s),
-			Hist:  qrHistogram(s),
-		})
-	}
-	model, err := perfmodel.FitComponent("scalapack-qr", samples, 3, 2)
-	if err != nil {
-		return nil, err
-	}
 	return &QR{
 		N: n, NB: nb,
 		grid: grid, rss: rss, bind: b, weather: w,
-		model:    model,
 		maxProcs: 8,
 	}, nil
-}
-
-// qrHistogram synthesizes the memory-reuse-distance histogram of a blocked
-// QR at size n (in cache lines): panel-resident reuse, row-sweep reuse, and
-// whole-trailing-matrix reuse.
-func qrHistogram(n float64) perfmodel.Histogram {
-	return perfmodel.Histogram{
-		{Dist: 64, Count: 40 * n * n},         // within-block reuse
-		{Dist: n / 2, Count: 4 * n * n},       // row sweeps
-		{Dist: n * n / 4, Count: 0.5 * n * n}, // trailing-matrix reuse
-	}
 }
 
 // Name implements cop.COP.

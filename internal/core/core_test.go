@@ -16,7 +16,7 @@ func flatModel(t *testing.T, name string, f float64) *perfmodel.ComponentModel {
 	t.Helper()
 	m, err := perfmodel.FitComponent(name, []perfmodel.Sample{
 		{N: 1, Flops: f}, {N: 2, Flops: f},
-	}, 0, 0)
+	}, 0)
 	if err != nil {
 		t.Fatalf("flatModel: %v", err)
 	}
@@ -346,7 +346,7 @@ func TestExpandSplitsParallelizable(t *testing.T) {
 func TestExpandScalesModelWork(t *testing.T) {
 	m, err := perfmodel.FitComponent("p", []perfmodel.Sample{
 		{N: 1, Flops: 8e9}, {N: 2, Flops: 8e9},
-	}, 0, 0)
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestQuickScheduleValidity(t *testing.T) {
 	s := NewScheduler(g, nil)
 	model, err := perfmodel.FitComponent("q", []perfmodel.Sample{
 		{N: 1, Flops: 1e8}, {N: 10, Flops: 1e9},
-	}, 1, 0)
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,8 +247,7 @@ func (w *Workflow) Expand() *Workflow {
 }
 
 // scaleModel returns a copy of m with the flop curve scaled by f (the
-// per-sub-task share of a data-parallel component). MRD behavior is kept:
-// each sub-task walks the same data structures over its slice.
+// per-sub-task share of a data-parallel component).
 func scaleModel(m *perfmodel.ComponentModel, f float64) *perfmodel.ComponentModel {
 	if m == nil {
 		return nil

@@ -180,7 +180,7 @@ const (
 func zooComponent(name string, flops, ccr float64) (*core.Component, error) {
 	model, err := perfmodel.FitComponent(name, []perfmodel.Sample{
 		{N: 1, Flops: flops}, {N: 2, Flops: 2 * flops}, {N: 3, Flops: 3 * flops},
-	}, 1, 0)
+	}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,6 @@ import (
 
 // Forecaster predicts the next value of a scalar time series.
 type Forecaster interface {
-	// Name identifies the predictor (for diagnostics).
-	Name() string
 	// Update feeds the next observed value.
 	Update(v float64)
 	// Forecast predicts the next value. Before any update it returns NaN.
@@ -30,9 +28,6 @@ type LastValue struct {
 	v   float64
 	has bool
 }
-
-// Name implements Forecaster.
-func (f *LastValue) Name() string { return "last" }
 
 // Update implements Forecaster.
 func (f *LastValue) Update(v float64) { f.v, f.has = v, true }
@@ -50,9 +45,6 @@ type RunningMean struct {
 	sum float64
 	n   int
 }
-
-// Name implements Forecaster.
-func (f *RunningMean) Name() string { return "mean" }
 
 // Update implements Forecaster.
 func (f *RunningMean) Update(v float64) { f.sum += v; f.n++ }
@@ -105,9 +97,6 @@ func NewSlidingMean(w int) *SlidingMean {
 	return &SlidingMean{win: newWindow(w)}
 }
 
-// Name implements Forecaster.
-func (f *SlidingMean) Name() string { return "swmean" }
-
 // Update implements Forecaster.
 func (f *SlidingMean) Update(v float64) { f.win.push(v) }
 
@@ -142,9 +131,6 @@ func NewSlidingMedian(w int) *SlidingMedian {
 	return &SlidingMedian{win: win, scratch: make([]float64, 0, cap(win.buf))}
 }
 
-// Name implements Forecaster.
-func (f *SlidingMedian) Name() string { return "swmedian" }
-
 // Update implements Forecaster.
 func (f *SlidingMedian) Update(v float64) { f.win.push(v) }
 
@@ -178,9 +164,6 @@ func NewExpSmooth(alpha float64) *ExpSmooth {
 	return &ExpSmooth{alpha: alpha}
 }
 
-// Name implements Forecaster.
-func (f *ExpSmooth) Name() string { return "expsmooth" }
-
 // Update implements Forecaster.
 func (f *ExpSmooth) Update(v float64) {
 	if !f.has {
@@ -205,7 +188,6 @@ type Ensemble struct {
 	members []Forecaster
 	errSum  []float64
 	n       int
-	last    float64
 }
 
 // NewEnsemble creates an ensemble over the given members; with none given it
@@ -239,7 +221,6 @@ func (e *Ensemble) Update(v float64) {
 		m.Update(v)
 	}
 	e.n++
-	e.last = v
 }
 
 // Forecast returns the best member's prediction, or NaN before any update.
@@ -256,27 +237,5 @@ func (e *Ensemble) Forecast() float64 {
 	return e.members[best].Forecast()
 }
 
-// Best returns the name of the currently most accurate member.
-func (e *Ensemble) Best() string {
-	if e.n == 0 {
-		return ""
-	}
-	best, bestErr := 0, math.Inf(1)
-	for i := range e.members {
-		if e.errSum[i] < bestErr {
-			best, bestErr = i, e.errSum[i]
-		}
-	}
-	return e.members[best].Name()
-}
-
 // Observations returns how many values the ensemble has seen.
 func (e *Ensemble) Observations() int { return e.n }
-
-// Last returns the most recent observation (0 before any update).
-func (e *Ensemble) Last() float64 {
-	if e.n == 0 {
-		return 0
-	}
-	return e.last
-}

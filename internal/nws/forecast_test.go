@@ -83,14 +83,8 @@ func TestEnsemblePicksAccurateMember(t *testing.T) {
 	if got := e.Forecast(); math.Abs(got-5) > 1 {
 		t.Fatalf("ensemble forecast %v, want ~5 despite spike", got)
 	}
-	if e.Best() == "" {
-		t.Fatal("Best() empty after updates")
-	}
 	if e.Observations() != 23 {
 		t.Fatalf("Observations = %d", e.Observations())
-	}
-	if e.Last() != 5 {
-		t.Fatalf("Last = %v", e.Last())
 	}
 }
 
@@ -113,9 +107,6 @@ func TestEnsembleEmpty(t *testing.T) {
 	e := NewEnsemble()
 	if !math.IsNaN(e.Forecast()) {
 		t.Fatal("empty ensemble should forecast NaN")
-	}
-	if e.Best() != "" {
-		t.Fatal("empty ensemble Best() should be empty")
 	}
 }
 

@@ -1,7 +1,6 @@
 package nws
 
 import (
-	"errors"
 	"math"
 
 	"grads/internal/faultinject"
@@ -19,13 +18,6 @@ type Service struct {
 	grid   *topology.Grid
 	period float64
 
-	// probeBytes, when positive, switches the network sensors to ACTIVE
-	// probing: latency is measured with a small ping transfer and
-	// bandwidth with a probeBytes transfer through the real network model
-	// (consuming real bandwidth, like NWS probes do). Zero keeps the
-	// passive instantaneous estimates.
-	probeBytes float64
-
 	cpu       map[string]*Ensemble // node name -> availability in [0,1]
 	bandwidth map[string]*Ensemble // site pair key -> bytes/s
 	// bwLong smooths each bandwidth series over a long window: the right
@@ -36,7 +28,6 @@ type Service struct {
 	latency map[string]*Ensemble // site pair key -> seconds
 	sensor  *simcore.Proc
 	stopped bool
-	probes  int
 
 	health   *faultinject.Health
 	degraded bool // in outage: forecasts serve last-known data
@@ -60,26 +51,17 @@ func pairKey(a, b string) string {
 // Start creates a Service measuring every period seconds and spawns its
 // sensor process. The first measurement is taken immediately.
 func Start(sim *simcore.Sim, grid *topology.Grid, period float64) *Service {
-	return StartActive(sim, grid, period, 0)
-}
-
-// StartActive is Start with active network probing: each measurement sends
-// a small ping and a probeBytes bulk transfer over the real network model
-// and derives latency and bandwidth from the observed durations, exactly as
-// NWS probes do. probeBytes <= 0 falls back to passive estimates.
-func StartActive(sim *simcore.Sim, grid *topology.Grid, period float64, probeBytes float64) *Service {
 	if period <= 0 {
 		period = 10
 	}
 	s := &Service{
-		sim:        sim,
-		grid:       grid,
-		period:     period,
-		probeBytes: probeBytes,
-		cpu:        make(map[string]*Ensemble),
-		bandwidth:  make(map[string]*Ensemble),
-		bwLong:     make(map[string]*SlidingMean),
-		latency:    make(map[string]*Ensemble),
+		sim:       sim,
+		grid:      grid,
+		period:    period,
+		cpu:       make(map[string]*Ensemble),
+		bandwidth: make(map[string]*Ensemble),
+		bwLong:    make(map[string]*SlidingMean),
+		latency:   make(map[string]*Ensemble),
 	}
 	for _, n := range grid.Nodes() {
 		s.cpu[n.Name()] = NewEnsemble()
@@ -111,20 +93,14 @@ func (s *Service) Stop() {
 	s.sensor.Kill()
 }
 
-// run is the sensor loop. Outages suspend measurement (forecasts go stale);
-// probe transfers severed by network faults skip the round instead of
-// killing the sensor.
+// run is the sensor loop. Outages suspend measurement (forecasts go stale).
 func (s *Service) run(p *simcore.Proc) {
 	for !s.stopped {
 		if s.health.Down() {
 			s.setDegraded(true)
 		} else {
 			s.setDegraded(false)
-			if err := s.measure(p); err != nil {
-				if !errors.Is(err, netsim.ErrLinkDown) && !errors.Is(err, netsim.ErrEndpointDown) {
-					return
-				}
-			}
+			s.measure()
 		}
 		if err := p.Sleep(s.period); err != nil {
 			return
@@ -139,9 +115,6 @@ func (s *Service) setDegraded(d bool) {
 		return
 	}
 	s.degraded = d
-	if d {
-	} else {
-	}
 	if tel := s.sim.Telemetry(); tel != nil {
 		tel.Emit(telemetry.Event{
 			Type: telemetry.EvServiceDegraded, Comp: "nws", Name: "forecasts",
@@ -150,9 +123,8 @@ func (s *Service) setDegraded(d bool) {
 	}
 }
 
-// measure samples every monitored series once. With active probing enabled
-// the calling sensor process pays for the probe transfers.
-func (s *Service) measure(p *simcore.Proc) error {
+// measure samples every monitored series once.
+func (s *Service) measure() {
 	for _, n := range s.grid.Nodes() {
 		s.cpu[n.Name()].Update(n.CPU.Availability())
 	}
@@ -174,44 +146,12 @@ func (s *Service) measure(p *simcore.Proc) error {
 			default:
 				continue
 			}
-			if s.probeBytes > 0 {
-				lat, bw, err := s.probe(p, r)
-				if err != nil {
-					return err
-				}
-				s.latency[k].Update(lat)
-				bwEns.Update(bw)
-				s.bwLong[k].Update(bw)
-			} else {
-				bw := s.grid.Net.EstimateRate(r)
-				bwEns.Update(bw)
-				s.bwLong[k].Update(bw)
-				s.latency[k].Update(s.grid.Net.RouteLatency(r))
-			}
+			bw := s.grid.Net.EstimateRate(r)
+			bwEns.Update(bw)
+			s.bwLong[k].Update(bw)
+			s.latency[k].Update(s.grid.Net.RouteLatency(r))
 		}
 	}
-	return nil
-}
-
-// probe measures one route with a ping and a bulk transfer.
-func (s *Service) probe(p *simcore.Proc, route []*netsim.Link) (lat, bw float64, err error) {
-	const pingBytes = 64
-	t0 := s.sim.Now()
-	if _, err := s.grid.Net.Transfer(p, route, pingBytes); err != nil {
-		return 0, 0, err
-	}
-	lat = s.sim.Now() - t0 // serialization of 64 bytes is negligible
-	t0 = s.sim.Now()
-	if _, err := s.grid.Net.Transfer(p, route, s.probeBytes); err != nil {
-		return 0, 0, err
-	}
-	elapsed := s.sim.Now() - t0
-	s.probes += 2
-	transfer := elapsed - lat
-	if transfer <= 0 {
-		transfer = elapsed
-	}
-	return lat, s.probeBytes / transfer, nil
 }
 
 // CPUForecast predicts the availability (fraction in (0,1]) of a node. With

@@ -1,21 +1,14 @@
-// Package perfmodel implements §3.2 of the paper: architecture-independent
-// component performance models built from profiles of small-size runs.
+// Package perfmodel implements the computational half of §3.2 of the
+// paper: architecture-independent component performance models built from
+// profiles of small-size runs. Floating-point operation counts, collected
+// (here, synthesized by the application cost models standing in for
+// hardware counters) on several small problem sizes, are fitted with
+// least-squares polynomials. The fitted curve converts to a per-node time
+// estimate at the node's sustained flop rate, which is what the workflow
+// scheduler's rank function consumes.
 //
-// Two ingredients are modeled exactly as described:
-//
-//   - floating-point operation counts, collected (here, synthesized by the
-//     application cost models standing in for hardware counters) on several
-//     small problem sizes and fitted with least-squares polynomials; and
-//   - memory access behavior, captured as histograms of memory reuse
-//     distance (MRD) — the number of unique blocks touched between accesses
-//     to the same block. Per-reference-group models of reuse distance and
-//     access count as functions of problem size predict cache misses for any
-//     problem size and cache configuration by counting accesses whose
-//     predicted reuse distance exceeds the target cache capacity.
-//
-// The resulting resource-usage estimates convert to rough per-node time
-// estimates using a node's sustained flop rate and memory-miss penalty,
-// which is what the workflow scheduler's rank function consumes.
+// The paper's second ingredient, memory-reuse-distance histograms that
+// predict cache misses, is not modeled: time estimates are compute-only.
 package perfmodel
 
 import (

@@ -8,28 +8,20 @@ import (
 	"grads/internal/topology"
 )
 
-// DefaultMissPenaltyNS is the memory-access penalty per predicted cache
-// miss, in nanoseconds (2003-era SDRAM latency).
-const DefaultMissPenaltyNS = 120.0
-
-// Sample is one profiled small-size run of a component: its problem size,
-// the floating-point operations counted, and the MRD histogram observed.
-// In the paper these come from PAPI hardware counters and binary
-// instrumentation; here the application cost models synthesize them.
+// Sample is one profiled small-size run of a component: its problem size
+// and the floating-point operations counted. In the paper these come from
+// PAPI hardware counters; here the application cost models synthesize them.
 type Sample struct {
 	N     float64
 	Flops float64
-	Hist  Histogram
 }
 
 // ComponentModel is the architecture-independent performance model of one
-// application component: resource usage (flops, memory behavior) as
-// functions of problem size, convertible to a time estimate on any node.
+// application component: its flop count as a function of problem size,
+// convertible to a time estimate on any node.
 type ComponentModel struct {
-	Name          string
-	Flops         Poly
-	MRD           *MRDModel
-	MissPenaltyNS float64
+	Name  string
+	Flops Poly
 }
 
 // ErrNoSamples reports an attempt to fit a model with no profiles.
@@ -37,39 +29,22 @@ var ErrNoSamples = errors.New("perfmodel: no samples")
 
 // FitComponent builds a ComponentModel from small-run profiles.
 // flopDegree is the degree of the flop-count fit (e.g. 3 for dense linear
-// algebra); mrdDegree the per-reference-group fit degree. Samples may omit
-// histograms, in which case the model is compute-only.
-func FitComponent(name string, samples []Sample, flopDegree, mrdDegree int) (*ComponentModel, error) {
+// algebra).
+func FitComponent(name string, samples []Sample, flopDegree int) (*ComponentModel, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
 	}
 	ns := make([]float64, len(samples))
 	flops := make([]float64, len(samples))
-	withHist := true
 	for i, s := range samples {
 		ns[i] = s.N
 		flops[i] = s.Flops
-		if len(s.Hist) == 0 {
-			withHist = false
-		}
 	}
 	fp, err := Polyfit(ns, flops, flopDegree)
 	if err != nil {
 		return nil, err
 	}
-	cm := &ComponentModel{Name: name, Flops: fp, MissPenaltyNS: DefaultMissPenaltyNS}
-	if withHist {
-		hists := make([]Histogram, len(samples))
-		for i, s := range samples {
-			hists[i] = s.Hist
-		}
-		mrd, err := FitMRD(ns, hists, mrdDegree)
-		if err != nil {
-			return nil, err
-		}
-		cm.MRD = mrd
-	}
-	return cm, nil
+	return &ComponentModel{Name: name, Flops: fp}, nil
 }
 
 // FlopsAt predicts the flop count at problem size n (never negative).
@@ -81,29 +56,14 @@ func (c *ComponentModel) FlopsAt(n float64) float64 {
 	return f
 }
 
-// cacheLines returns a node's L2 capacity in lines.
-func cacheLines(node *topology.Node) float64 {
-	cc := node.Spec.Cache
-	if cc.L2KB <= 0 || cc.LineBytes <= 0 {
-		return 16384 // 512 KiB of 32 B lines, the PIII default
-	}
-	return float64(cc.L2KB) * 1024 / float64(cc.LineBytes)
-}
-
 // Time estimates the component's execution time at problem size n on a node
-// at full availability: compute time at the node's sustained flop rate plus
-// predicted memory stall time.
+// at full availability: the predicted flops at the node's sustained rate.
 func (c *ComponentModel) Time(n float64, node *topology.Node) float64 {
-	t := c.FlopsAt(n) / node.Spec.Flops()
-	if c.MRD != nil {
-		t += c.MRD.Misses(n, cacheLines(node)) * c.MissPenaltyNS * 1e-9
-	}
-	return t
+	return c.FlopsAt(n) / node.Spec.Flops()
 }
 
 // TimeLoaded estimates execution time when the node delivers only the given
-// availability fraction of its CPU (an NWS forecast); memory penalties scale
-// the same way since the process is descheduled as a whole.
+// availability fraction of its CPU (an NWS forecast).
 func (c *ComponentModel) TimeLoaded(n float64, node *topology.Node, avail float64) float64 {
 	if avail <= 0 {
 		avail = 1e-3
@@ -115,13 +75,13 @@ func (c *ComponentModel) TimeLoaded(n float64, node *topology.Node, avail float6
 // it fits a model on all but the last holdOut samples (which must be the
 // largest problem sizes — the direction GrADS extrapolates in) and returns
 // the mean relative error of the flop predictions on the held-out samples.
-func CrossValidate(samples []Sample, holdOut, flopDegree, mrdDegree int) (float64, error) {
+func CrossValidate(samples []Sample, holdOut, flopDegree int) (float64, error) {
 	if holdOut <= 0 || holdOut >= len(samples) {
 		return 0, fmt.Errorf("perfmodel: holdOut %d of %d samples", holdOut, len(samples))
 	}
 	train := samples[:len(samples)-holdOut]
 	test := samples[len(samples)-holdOut:]
-	m, err := FitComponent("cv", train, flopDegree, mrdDegree)
+	m, err := FitComponent("cv", train, flopDegree)
 	if err != nil {
 		return 0, err
 	}

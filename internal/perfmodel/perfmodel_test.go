@@ -84,89 +84,6 @@ func TestQuickPolyfitInterpolates(t *testing.T) {
 	}
 }
 
-// syntheticHist builds the MRD histogram of a blocked matrix sweep:
-// one hot group reused within a block (distance ~ constant), one group with
-// distance growing linearly in n, one growing quadratically (whole-matrix
-// reuse).
-func syntheticHist(n float64) Histogram {
-	return Histogram{
-		{Dist: 64, Count: 100 * n},
-		{Dist: 2 * n, Count: 10 * n},
-		{Dist: n * n / 8, Count: n},
-	}
-}
-
-func TestFitMRDExtrapolatesMisses(t *testing.T) {
-	ns := []float64{100, 200, 300, 400, 500}
-	hists := make([]Histogram, len(ns))
-	for i, n := range ns {
-		hists[i] = syntheticHist(n)
-	}
-	m, err := FitMRD(ns, hists, 2)
-	if err != nil {
-		t.Fatalf("FitMRD: %v", err)
-	}
-	// At n=2000 the true histogram is known; compare misses for a cache of
-	// 2048 lines: group1 (dist 64) hits; group2 (dist 4000) misses -> 20000;
-	// group3 (dist 500000) misses -> 2000. Total 22000.
-	got := m.Misses(2000, 2048)
-	if math.Abs(got-22000) > 1 {
-		t.Fatalf("predicted misses = %v, want 22000", got)
-	}
-	acc := m.Accesses(2000)
-	want := 100*2000.0 + 10*2000 + 2000
-	if math.Abs(acc-want) > 1 {
-		t.Fatalf("predicted accesses = %v, want %v", acc, want)
-	}
-	ratio := m.MissRatio(2000, 2048)
-	if math.Abs(ratio-22000/want) > 1e-6 {
-		t.Fatalf("miss ratio = %v", ratio)
-	}
-}
-
-func TestFitMRDLargerCacheNeverMoreMisses(t *testing.T) {
-	ns := []float64{100, 200, 300, 400}
-	hists := make([]Histogram, len(ns))
-	for i, n := range ns {
-		hists[i] = syntheticHist(n)
-	}
-	m, err := FitMRD(ns, hists, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 500.0; n <= 4000; n += 500 {
-		small := m.Misses(n, 1024)
-		big := m.Misses(n, 65536)
-		if big > small {
-			t.Fatalf("larger cache produced more misses at n=%v: %v > %v", n, big, small)
-		}
-	}
-}
-
-func TestFitMRDErrors(t *testing.T) {
-	if _, err := FitMRD(nil, nil, 1); err == nil {
-		t.Fatal("empty inputs accepted")
-	}
-	h1 := Histogram{{Dist: 1, Count: 1}}
-	h2 := Histogram{{Dist: 1, Count: 1}, {Dist: 2, Count: 2}}
-	if _, err := FitMRD([]float64{1, 2}, []Histogram{h1, h2}, 0); err == nil {
-		t.Fatal("ragged histograms accepted")
-	}
-}
-
-func TestHistogramMisses(t *testing.T) {
-	h := Histogram{{Dist: 10, Count: 5}, {Dist: 100, Count: 7}, {Dist: 1000, Count: 11}}
-	if h.Misses(50) != 18 {
-		t.Fatalf("Misses(50) = %v, want 18", h.Misses(50))
-	}
-	if h.Misses(1e6) != 0 {
-		t.Fatal("infinite cache should miss nothing")
-	}
-	if h.Accesses() != 23 {
-		t.Fatalf("Accesses = %v", h.Accesses())
-	}
-}
-
 func qrFlops(n float64) float64 { return 4.0 / 3.0 * n * n * n }
 
 func TestFitComponentQRCurve(t *testing.T) {
@@ -174,9 +91,9 @@ func TestFitComponentQRCurve(t *testing.T) {
 	// methodology: small-run counters -> least-squares -> big-run predict).
 	var samples []Sample
 	for n := 200.0; n <= 1000; n += 200 {
-		samples = append(samples, Sample{N: n, Flops: qrFlops(n), Hist: syntheticHist(n)})
+		samples = append(samples, Sample{N: n, Flops: qrFlops(n)})
 	}
-	cm, err := FitComponent("qr", samples, 3, 2)
+	cm, err := FitComponent("qr", samples, 3)
 	if err != nil {
 		t.Fatalf("FitComponent: %v", err)
 	}
@@ -184,9 +101,6 @@ func TestFitComponentQRCurve(t *testing.T) {
 	want := qrFlops(8000)
 	if math.Abs(pred-want)/want > 1e-6 {
 		t.Fatalf("extrapolated flops = %v, want %v", pred, want)
-	}
-	if cm.MRD == nil {
-		t.Fatal("MRD model missing despite histograms")
 	}
 }
 
@@ -196,17 +110,15 @@ func TestComponentTimeScalesWithNode(t *testing.T) {
 	g.AddSite("A", 1e6, 0)
 	fast := g.AddNode(topology.NodeSpec{
 		Name: "fast", Site: "A", MHz: 1000, FlopsPerCycle: 1,
-		Cache: topology.CacheConfig{L2KB: 512, LineBytes: 32},
 	})
 	slow := g.AddNode(topology.NodeSpec{
 		Name: "slow", Site: "A", MHz: 250, FlopsPerCycle: 1,
-		Cache: topology.CacheConfig{L2KB: 512, LineBytes: 32},
 	})
 	var samples []Sample
 	for n := 100.0; n <= 500; n += 100 {
 		samples = append(samples, Sample{N: n, Flops: qrFlops(n)})
 	}
-	cm, err := FitComponent("qr", samples, 3, 1)
+	cm, err := FitComponent("qr", samples, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,33 +135,8 @@ func TestComponentTimeScalesWithNode(t *testing.T) {
 	}
 }
 
-func TestComponentTimeIncludesMemoryPenalty(t *testing.T) {
-	sim := simcore.New(1)
-	g := topology.NewGrid(sim)
-	g.AddSite("A", 1e6, 0)
-	tiny := g.AddNode(topology.NodeSpec{
-		Name: "tinycache", Site: "A", MHz: 1000, FlopsPerCycle: 1,
-		Cache: topology.CacheConfig{L2KB: 16, LineBytes: 32}, // 512 lines
-	})
-	big := g.AddNode(topology.NodeSpec{
-		Name: "bigcache", Site: "A", MHz: 1000, FlopsPerCycle: 1,
-		Cache: topology.CacheConfig{L2KB: 4096, LineBytes: 32}, // 131072 lines
-	})
-	var samples []Sample
-	for n := 100.0; n <= 500; n += 100 {
-		samples = append(samples, Sample{N: n, Flops: qrFlops(n), Hist: syntheticHist(n)})
-	}
-	cm, err := FitComponent("qr", samples, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.Time(600, tiny) <= cm.Time(600, big) {
-		t.Fatal("small cache should pay more memory stall time")
-	}
-}
-
 func TestFitComponentNoSamples(t *testing.T) {
-	if _, err := FitComponent("x", nil, 1, 1); err == nil {
+	if _, err := FitComponent("x", nil, 1); err == nil {
 		t.Fatal("no samples accepted")
 	}
 }
@@ -260,7 +147,7 @@ func TestCrossValidateExtrapolation(t *testing.T) {
 	for n := 100.0; n <= 1000; n += 100 {
 		samples = append(samples, Sample{N: n, Flops: qrFlops(n)})
 	}
-	relErr, err := CrossValidate(samples, 3, 3, 0)
+	relErr, err := CrossValidate(samples, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +155,17 @@ func TestCrossValidateExtrapolation(t *testing.T) {
 		t.Fatalf("cubic cross-validation error = %v", relErr)
 	}
 	// Underfitting (linear model on cubic data) shows large error.
-	relErrBad, err := CrossValidate(samples, 3, 1, 0)
+	relErrBad, err := CrossValidate(samples, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if relErrBad < 0.2 {
 		t.Fatalf("linear fit of cubic data reported error %v, want large", relErrBad)
 	}
-	if _, err := CrossValidate(samples, 0, 1, 0); err == nil {
+	if _, err := CrossValidate(samples, 0, 1); err == nil {
 		t.Fatal("holdOut=0 accepted")
 	}
-	if _, err := CrossValidate(samples, len(samples), 1, 0); err == nil {
+	if _, err := CrossValidate(samples, len(samples), 1); err == nil {
 		t.Fatal("holdOut=all accepted")
 	}
 }

@@ -13,9 +13,6 @@ var ErrInterrupted = errors.New("simcore: interrupted")
 // ErrKilled is the interrupt cause delivered by Proc.Kill.
 var ErrKilled = errors.New("simcore: killed")
 
-// procExit is the panic payload used by Proc.Exit to unwind a process body.
-type procExit struct{}
-
 // Proc is a simulated process: a goroutine whose execution is interleaved
 // with the event kernel so that exactly one goroutine runs at a time.
 // All methods on Proc must be called from the process's own goroutine,
@@ -73,16 +70,7 @@ func (s *Sim) SpawnAt(t float64, name string, body func(p *Proc)) *Proc {
 	go func() {
 		// Wait for the start event before running the body.
 		if err := <-p.resume; err == nil {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(procExit); !ok {
-							panic(r)
-						}
-					}
-				}()
-				body(p)
-			}()
+			body(p)
 		}
 		p.alive = false
 		p.dead = true
@@ -163,9 +151,6 @@ func (p *Proc) SleepUntil(t float64) error {
 
 // Yield lets all other events scheduled at the current time run first.
 func (p *Proc) Yield() error { return p.Sleep(0) }
-
-// Exit terminates the process immediately (unwinding its body).
-func (p *Proc) Exit() { panic(procExit{}) }
 
 // Interrupt wakes the process with the given cause if it is blocked.
 // The cause must be non-nil; the blocked operation returns it as its error.

@@ -155,23 +155,6 @@ func TestInterruptNotBlocked(t *testing.T) {
 	}
 }
 
-func TestProcExit(t *testing.T) {
-	s := New(1)
-	reached := false
-	s.Spawn("exiter", func(p *Proc) {
-		p.Sleep(1)
-		p.Exit()
-		reached = true
-	})
-	s.Run()
-	if reached {
-		t.Fatal("code after Exit ran")
-	}
-	if len(s.LiveProcs()) != 0 {
-		t.Fatalf("live procs after exit: %v", s.LiveProcs())
-	}
-}
-
 func TestSignalFireAndBroadcast(t *testing.T) {
 	s := New(1)
 	sig := NewSignal(s)

@@ -66,19 +66,6 @@ func (t *Telemetry) SetClock(fn func() float64) {
 	t.mu.Unlock()
 }
 
-// Now returns the current virtual time, or 0 without a clock.
-func (t *Telemetry) Now() float64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.clock == nil {
-		return 0
-	}
-	return t.clock()
-}
-
 // AddSink attaches a sink; every subsequent event is delivered to it.
 func (t *Telemetry) AddSink(s Sink) {
 	if t == nil || s == nil {
@@ -89,20 +76,9 @@ func (t *Telemetry) AddSink(s Sink) {
 	t.mu.Unlock()
 }
 
-// Enabled reports whether any sink is attached (events would be observed).
-// Metrics are always live on a non-nil hub.
-func (t *Telemetry) Enabled() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.sinks) > 0
-}
-
 // Emit stamps the event with the current virtual time and a sequence number
 // and delivers it to every sink. Callers on hot paths should guard with a
-// nil check (or Enabled) before building the event's argument slice.
+// nil check before building the event's argument slice.
 func (t *Telemetry) Emit(e Event) {
 	if t == nil {
 		return
