@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faults := fs.String("faults", "", "run the QR workload under this fault schedule "+
 		"(events 'kind@start[-end]:target[:value]' joined by ';', e.g. 'crash@100-400:utk1;outage@10-40:nws')")
 	netRef := fs.Bool("netsim-reference", false, "use the reference (global) network solver instead of the incremental one (traces are byte-identical either way)")
-	shards := fs.Int("shards", 1, "shard kernels for the sharded experiments (scale, scale-smoke); 1 is the single-kernel oracle, any N is trace-identical")
+	shards := fs.Int("shards", 1, "shard kernels for the shard-equivalence smoke (-exp scale-smoke, also run by -exp all); 1 is the single-kernel oracle, any N is trace-identical")
 	jobs := fs.String("jobs", "", "run an explicit metascheduler submission stream "+
 		"(entries 'kind@submit:key=value,...' joined by ';', e.g. 'qr@0:n=3000,w=8,min=4,bid=40;farm@25:tasks=24,w=4,bid=3')")
 	arrivals := fs.String("arrivals", "", "serve an explicit request workload through the front door "+
@@ -126,8 +126,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Every input is checked before any output file is created, so bad
 	// input fails cleanly and leaves nothing behind. A second run mode, or
-	// -heuristic or -route without the mode it tunes, is bad input too:
-	// otherwise it would be silently ignored.
+	// -heuristic, -route, -csv or -shards without the run it tunes, is bad
+	// input too: otherwise it would be silently ignored.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var modes []string
@@ -136,6 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			modes = append(modes, "-"+m)
 		}
 	}
+	runsExp := len(modes) == 0 || set["exp"] // -exp all is the default mode
 	var job func(grads.Options) (string, error)
 	var bad error
 	switch {
@@ -145,8 +146,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bad = errors.New("-heuristic applies only to -zoo")
 	case set["route"] && *arrivals == "":
 		bad = errors.New("-route applies only to -arrivals")
+	case set["csv"] && !runsExp:
+		bad = errors.New("-csv applies only to -exp")
 	case *shards < 1:
 		bad = fmt.Errorf("-shards %d: need at least one shard kernel", *shards)
+	case *shards != 1 && !(runsExp && (*exp == "scale-smoke" || *exp == "all")):
+		bad = fmt.Errorf("-shards %d applies only to -exp scale-smoke (or all, which runs it)", *shards)
 	case *zoo != "":
 		bad = errors.Join(errOf(listsched.ParseZoo(*zoo)), errOf(listsched.New(*heuristic)))
 		job = func(o grads.Options) (string, error) { return grads.RunZoo(o, *zoo, *heuristic) }

@@ -12,7 +12,7 @@ import (
 // experiment, a malformed spec, route or heuristic, a -csv target without a
 // CSV form, a shard count below 1, or a flag the chosen run mode would
 // ignore (a second run mode, -heuristic without -zoo, -route without
-// -arrivals) — fails with a non-zero status before either trace sink is
+// -arrivals, -csv without -exp, -shards N≠1 outside scale-smoke) — fails with a non-zero status before either trace sink is
 // opened, so no file is left behind.
 func TestUnknownExperimentCreatesNoTraceFiles(t *testing.T) {
 	cases := []struct {
@@ -35,6 +35,13 @@ func TestUnknownExperimentCreatesNoTraceFiles(t *testing.T) {
 		{"exp-and-arrivals", []string{"-exp", "all", "-arrivals", "poisson@0-10:rate=0.1"}, "-exp and -arrivals"},
 		{"heuristic-without-zoo", []string{"-exp", "fig3", "-heuristic", "nosuch"}, "-heuristic applies only to -zoo"},
 		{"route-without-arrivals", []string{"-jobs", "qr@0:n=100,w=4", "-route", "rr"}, "-route applies only to -arrivals"},
+		{"csv-with-zoo", []string{"-zoo", "chain", "-csv"}, "-csv applies only to -exp"},
+		{"csv-with-faults", []string{"-faults", "crash@50:utk1", "-csv"}, "-csv applies only to -exp"},
+		{"csv-with-jobs", []string{"-jobs", "qr@0:n=100,w=4", "-csv"}, "-csv applies only to -exp"},
+		{"csv-with-arrivals", []string{"-arrivals", "poisson@0-10:rate=0.1", "-csv"}, "-csv applies only to -exp"},
+		{"shards-unsharded-exp", []string{"-exp", "fig4", "-shards", "4"}, "-shards 4 applies only"},
+		{"shards-with-zoo", []string{"-zoo", "chain", "-shards", "2"}, "-shards 2 applies only"},
+		{"shards-with-faults", []string{"-faults", "crash@50:utk1", "-shards", "4"}, "-shards 4 applies only"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@ import (
 func main() {
 	const n = 10000
 	env := experiments.NewEnv(1, topology.QRTestbed, "qr", 10)
-	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, env.Weather, n, 100)
+	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, n, 100)
 	if err != nil {
 		log.Fatal(err)
 	}

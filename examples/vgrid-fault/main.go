@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("vgrid %q bound to %d nodes at %s (lock-step rate %.2f Gflop/s)\n",
 		vg.Spec.Name, len(vg.Nodes), vg.Nodes[0].Site().Name, vg.Rate/1e9)
 
-	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, env.Weather, 6000, 100)
+	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, 6000, 100)
 	if err != nil {
 		log.Fatal(err)
 	}

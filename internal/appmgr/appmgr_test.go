@@ -33,7 +33,7 @@ func newRig(t *testing.T, n int) *rig {
 	}
 	b := binder.New(sim, g)
 	rss := srs.NewRSS(sim, st, "qr")
-	qr, err := apps.NewQR(grid, rss, b, nil, n, 100)
+	qr, err := apps.NewQR(grid, rss, b, n, 100)
 	if err != nil {
 		t.Fatalf("NewQR: %v", err)
 	}

@@ -35,7 +35,7 @@ func newQRRig(t testing.TB, n, nb int) *qrRig {
 	}
 	b := binder.New(sim, g)
 	rss := srs.NewRSS(sim, st, "qr")
-	qr, err := NewQR(grid, rss, b, nil, n, nb)
+	qr, err := NewQR(grid, rss, b, n, nb)
 	if err != nil {
 		t.Fatalf("NewQR: %v", err)
 	}
@@ -187,10 +187,10 @@ func TestQRContractSensorsReactToLoad(t *testing.T) {
 
 func TestQRBadParams(t *testing.T) {
 	r := newQRRig(t, 100, 10)
-	if _, err := NewQR(r.grid, r.rss, nil, nil, 0, 10); err == nil {
+	if _, err := NewQR(r.grid, r.rss, nil, 0, 10); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := NewQR(r.grid, r.rss, nil, nil, 100, 200); err == nil {
+	if _, err := NewQR(r.grid, r.rss, nil, 100, 200); err == nil {
 		t.Fatal("nb>n accepted")
 	}
 }

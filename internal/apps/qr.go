@@ -12,7 +12,6 @@ import (
 	"grads/internal/binder"
 	"grads/internal/cop"
 	"grads/internal/mpi"
-	"grads/internal/nws"
 	"grads/internal/simcore"
 	"grads/internal/srs"
 	"grads/internal/topology"
@@ -33,10 +32,9 @@ type QR struct {
 	// extension previewed in the paper's conclusion. Zero disables it.
 	CheckpointEvery int
 
-	grid    *topology.Grid
-	rss     *srs.RSS
-	bind    *binder.Binder
-	weather *nws.Service
+	grid *topology.Grid
+	rss  *srs.RSS
+	bind *binder.Binder
 
 	maxProcs   int
 	donePanels int
@@ -51,13 +49,13 @@ type QR struct {
 }
 
 // NewQR returns the COP for an n x n QR factorization in nb-wide panels.
-func NewQR(grid *topology.Grid, rss *srs.RSS, b *binder.Binder, w *nws.Service, n, nb int) (*QR, error) {
+func NewQR(grid *topology.Grid, rss *srs.RSS, b *binder.Binder, n, nb int) (*QR, error) {
 	if n <= 0 || nb <= 0 || nb > n {
 		return nil, fmt.Errorf("apps: bad QR dimensions n=%d nb=%d", n, nb)
 	}
 	return &QR{
 		N: n, NB: nb,
-		grid: grid, rss: rss, bind: b, weather: w,
+		grid: grid, rss: rss, bind: b,
 		maxProcs: 8,
 	}, nil
 }

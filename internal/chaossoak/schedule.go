@@ -105,7 +105,7 @@ func soakClasses() []soakClass {
 			kind: "qr", width: 4, minWidth: 2, est: 40,
 			make_: func(width int) func(*metasched.AppContext) (cop.COP, error) {
 				return func(c *metasched.AppContext) (cop.COP, error) {
-					q, err := apps.NewQR(c.Grid, c.RSS, c.Binder, c.Weather, 1500, 50)
+					q, err := apps.NewQR(c.Grid, c.RSS, c.Binder, 1500, 50)
 					if err != nil {
 						return nil, err
 					}

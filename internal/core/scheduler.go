@@ -48,17 +48,18 @@ type Scheduler struct {
 
 	Grid *topology.Grid
 
-	// Cache memoizes transfer estimates across the search: the three
-	// heuristics re-rank the same (component, node) pairs, and repeated
-	// searches at unchanged network state re-estimate the same transfers.
-	// Every input of an estimate is part of its key, so cached and uncached
-	// searches produce bit-identical schedules. A nil Cache disables
-	// memoization.
+	// Cache memoizes each route's latency and rate across the search,
+	// keyed by ordered site pair and network state version: the three
+	// heuristics re-rank the same (component, node) pairs, and every
+	// transfer between two sites reads the same two numbers whatever its
+	// byte count. TransferTime rebuilds the estimate from them with the
+	// expression a fresh estimate uses, so cached and uncached searches
+	// produce bit-identical schedules. A nil Cache disables memoization.
 	Cache *perfmodel.Cache
 }
 
 // NewScheduler creates a scheduler with the paper's defaults (equal
-// weights) and a transfer-estimate cache.
+// weights) and a route-parameter cache.
 func NewScheduler(grid *topology.Grid, weather *nws.Service) *Scheduler {
 	return &Scheduler{W1: 1, W2: 1, Weather: weather, Grid: grid, Cache: perfmodel.NewCache(0)}
 }
@@ -85,16 +86,18 @@ func (s *Scheduler) TransferTime(a, b *topology.Node, bytes float64) float64 {
 	if s.Cache == nil {
 		return s.Grid.TransferTimeEstimate(a, b, bytes)
 	}
-	// The network's state version covers every input of the estimate (flow
-	// set, background, degradations, latency factors), so equal keys
-	// guarantee equal results.
-	k := perfmodel.TransferKey{From: a, To: b, Bytes: math.Float64bits(bytes), Version: s.Grid.Net.StateVersion()}
-	if v, ok := s.Cache.Lookup(k); ok {
-		return v
+	// A route between distinct nodes depends only on their sites, and the
+	// network's state version covers every input of its latency and rate
+	// (flow set, background, degradations, latency factors), so equal keys
+	// guarantee equal parameters.
+	k := perfmodel.TransferKey{From: a.Site(), To: b.Site(), Version: s.Grid.Net.StateVersion()}
+	r, ok := s.Cache.Lookup(k)
+	if !ok {
+		route := s.Grid.Route(a, b)
+		r = perfmodel.Route{Latency: s.Grid.Net.RouteLatency(route), Rate: s.Grid.Net.EstimateRate(route)}
+		s.Cache.Store(k, r)
 	}
-	v := s.Grid.TransferTimeEstimate(a, b, bytes)
-	s.Cache.Store(k, v)
-	return v
+	return r.Latency + bytes/r.Rate
 }
 
 // Eligible reports whether a resource meets a component's minimum

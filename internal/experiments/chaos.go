@@ -161,7 +161,7 @@ func chaosQR(o Options, cfg ChaosConfig, mtbf float64, load func(*chaosHarness))
 		h.injector.Load(faultinject.GenerateNodeFaults(rng, nodeNames(env.Grid), mtbf, cfg.MTTR, cfg.Horizon))
 	}
 
-	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, env.Weather, cfg.N, cfg.NB)
+	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, cfg.N, cfg.NB)
 	if err != nil {
 		return nil, err
 	}

@@ -100,7 +100,7 @@ func qrJob(name string, submit float64, n, width, minWidth int, bid float64) met
 		Width: width, MinWidth: minWidth, Bid: bid,
 		EstRuntime: linalg.QRFlops(float64(n)) / (float64(width) * qrEstRate),
 		Make: func(c *metasched.AppContext) (cop.COP, error) {
-			q, err := apps.NewQR(c.Grid, c.RSS, c.Binder, c.Weather, n, 100)
+			q, err := apps.NewQR(c.Grid, c.RSS, c.Binder, n, 100)
 			if err != nil {
 				return nil, err
 			}

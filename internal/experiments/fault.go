@@ -61,7 +61,7 @@ func RunFault(o Options, cfg FaultConfig) ([]FaultResult, error) {
 
 func faultScenario(o Options, cfg FaultConfig, interval int, crash bool) (*FaultResult, error) {
 	env := o.NewEnv(1, topology.QRTestbed, "qr", 0)
-	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, env.Weather, cfg.N, cfg.NB)
+	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, cfg.N, cfg.NB)
 	if err != nil {
 		return nil, err
 	}

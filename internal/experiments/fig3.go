@@ -115,7 +115,7 @@ type fig3Run struct {
 // checkpoint, move to UIUC and restart.
 func fig3Scenario(o Options, n int, cfg Fig3Config, mode rescheduler.Mode) (*fig3Run, error) {
 	env := o.NewEnv(1, topology.QRTestbed, "qr", 10)
-	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, env.Weather, n, cfg.NB)
+	qr, err := apps.NewQR(env.Grid, env.RSS, env.Binder, n, cfg.NB)
 	if err != nil {
 		return nil, err
 	}

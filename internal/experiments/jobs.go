@@ -56,7 +56,7 @@ func streamJobSpec(i int, e metasched.StreamEntry) metasched.JobSpec {
 			spec.EstRuntime = linalg.QRFlops(float64(n)) / (float64(width) * qrEstRate)
 		}
 		spec.Make = func(c *metasched.AppContext) (cop.COP, error) {
-			q, err := apps.NewQR(c.Grid, c.RSS, c.Binder, c.Weather, n, 100)
+			q, err := apps.NewQR(c.Grid, c.RSS, c.Binder, n, 100)
 			if err != nil {
 				return nil, err
 			}

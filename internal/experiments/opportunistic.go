@@ -59,11 +59,11 @@ func opportunisticScenario(o Options, cfg OpportunisticConfig, enabled bool) (*O
 	// Two independent applications with their own RSS daemons.
 	rssShort := srs.NewRSS(env.Sim, env.Storage, "qr-short")
 	rssLong := srs.NewRSS(env.Sim, env.Storage, "qr-long")
-	short, err := apps.NewQR(env.Grid, rssShort, env.Binder, env.Weather, cfg.ShortN, 100)
+	short, err := apps.NewQR(env.Grid, rssShort, env.Binder, cfg.ShortN, 100)
 	if err != nil {
 		return nil, err
 	}
-	long, err := apps.NewQR(env.Grid, rssLong, env.Binder, env.Weather, cfg.LongN, 100)
+	long, err := apps.NewQR(env.Grid, rssLong, env.Binder, cfg.LongN, 100)
 	if err != nil {
 		return nil, err
 	}

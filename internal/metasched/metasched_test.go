@@ -67,7 +67,7 @@ func qrSpec(name string, submit float64, n, width, minWidth int, bid, est float6
 		Name: name, Kind: "qr", Submit: submit,
 		Width: width, MinWidth: minWidth, Bid: bid, EstRuntime: est,
 		Make: func(c *AppContext) (cop.COP, error) {
-			q, err := apps.NewQR(c.Grid, c.RSS, c.Binder, c.Weather, n, 50)
+			q, err := apps.NewQR(c.Grid, c.RSS, c.Binder, n, 50)
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"math"
 	"testing"
 
 	"grads/internal/topology"
@@ -9,12 +8,13 @@ import (
 
 func TestCacheMemoizesExactly(t *testing.T) {
 	c := NewCache(0)
-	k := TransferKey{From: new(topology.Node), To: new(topology.Node), Bytes: math.Float64bits(1e6), Version: 3}
+	k := TransferKey{From: new(topology.Site), To: new(topology.Site), Version: 3}
 	if _, ok := c.Lookup(k); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Store(k, 42.5)
-	if v, ok := c.Lookup(k); !ok || v != 42.5 {
+	want := Route{Latency: 0.25, Rate: 1e6}
+	c.Store(k, want)
+	if v, ok := c.Lookup(k); !ok || v != want {
 		t.Fatalf("Lookup after Store = %v, %v", v, ok)
 	}
 	if hits, misses, _ := c.Stats(); hits != 1 || misses != 1 {
@@ -23,17 +23,17 @@ func TestCacheMemoizesExactly(t *testing.T) {
 }
 
 // TestCacheKeysDoNotAlias: a key differing from a stored one in any single
-// field — direction, node identity, size or network version — misses.
+// field — direction, either site or network version — misses.
 func TestCacheKeysDoNotAlias(t *testing.T) {
-	a, b, b2 := new(topology.Node), new(topology.Node), new(topology.Node)
-	k := TransferKey{From: a, To: b, Bytes: math.Float64bits(8), Version: 1}
+	a, b, b2 := new(topology.Site), new(topology.Site), new(topology.Site)
+	k := TransferKey{From: a, To: b, Version: 1}
 	c := NewCache(0)
-	c.Store(k, 1)
+	c.Store(k, Route{Latency: 1, Rate: 1})
 	for name, other := range map[string]TransferKey{
-		"reversed": {From: b, To: a, Bytes: k.Bytes, Version: k.Version},
-		"node":     {From: a, To: b2, Bytes: k.Bytes, Version: k.Version},
-		"bytes":    {From: a, To: b, Bytes: math.Float64bits(9), Version: k.Version},
-		"version":  {From: a, To: b, Bytes: k.Bytes, Version: 2},
+		"reversed": {From: b, To: a, Version: k.Version},
+		"to site":  {From: a, To: b2, Version: k.Version},
+		"from":     {From: b2, To: b, Version: k.Version},
+		"version":  {From: a, To: b, Version: 2},
 	} {
 		if _, ok := c.Lookup(other); ok {
 			t.Errorf("%s: key aliased the stored one", name)
@@ -45,8 +45,8 @@ func TestCacheOverflowClearsAndStaysCorrect(t *testing.T) {
 	c := NewCache(4)
 	keys := make([]TransferKey, 6)
 	for i := range keys {
-		keys[i] = TransferKey{Bytes: math.Float64bits(float64(i + 1))}
-		c.Store(keys[i], float64(i))
+		keys[i] = TransferKey{Version: int64(i + 1)}
+		c.Store(keys[i], Route{Rate: float64(i)})
 	}
 	if len(c.m) > 4 {
 		t.Fatalf("cache grew past its bound: %d entries", len(c.m))
@@ -56,7 +56,7 @@ func TestCacheOverflowClearsAndStaysCorrect(t *testing.T) {
 	}
 	// Whatever survives must still be correct.
 	for i, k := range keys {
-		if v, ok := c.Lookup(k); ok && v != float64(i) {
+		if v, ok := c.Lookup(k); ok && v.Rate != float64(i) {
 			t.Fatalf("entry %d corrupted: %v", i, v)
 		}
 	}

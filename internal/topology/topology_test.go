@@ -2,9 +2,11 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"grads/internal/netsim"
 	"grads/internal/simcore"
 )
 
@@ -257,4 +259,38 @@ func TestRoutePanicsWithoutWAN(t *testing.T) {
 		}
 	}()
 	g.Route(a, b)
+}
+
+// TestRouteDependsOnlyOnSitePair: on the MacroGrid, every pair of distinct
+// nodes with the same ordered site pair gets the same links, in the same
+// order. Transfer-parameter memos key on the site pair and rely on this.
+func TestRouteDependsOnlyOnSitePair(t *testing.T) {
+	g := MacroGrid(simcore.New(1))
+	type pair struct{ from, to *Site }
+	first := map[pair][]*netsim.Link{}
+	nodes := g.Nodes()
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a == b {
+				continue
+			}
+			route := g.Route(a, b)
+			if len(route) == 0 {
+				t.Fatalf("Route(%s, %s) is empty", a.Name(), b.Name())
+			}
+			k := pair{a.Site(), b.Site()}
+			want, seen := first[k]
+			if !seen {
+				first[k] = route
+				continue
+			}
+			if !slices.Equal(route, want) {
+				t.Fatalf("Route(%s, %s) = %v, but another %s->%s pair routes over %v",
+					a.Name(), b.Name(), route, k.from.Name, k.to.Name, want)
+			}
+		}
+	}
+	if sites := len(g.Sites()); len(first) != sites*sites {
+		t.Fatalf("saw %d ordered site pairs, want %d", len(first), sites*sites)
+	}
 }

@@ -160,12 +160,14 @@ func (f *Finder) bindLooseBag(s Spec, pool []*topology.Node, max int) (*VGrid, e
 }
 
 // bindCluster picks the single site whose best nodes give the highest
-// lock-step rate.
+// lock-step rate; sites are visited in name order, so a tie goes to the
+// first name.
 func (f *Finder) bindCluster(s Spec, pool []*topology.Node, max int) (*VGrid, error) {
 	bySite := groupBySite(pool)
 	var best []*topology.Node
 	bestRate := -1.0
-	for _, nodes := range bySite {
+	for _, site := range f.Grid.Sites() {
+		nodes := bySite[site.Name]
 		if len(nodes) < s.MinNodes {
 			continue
 		}

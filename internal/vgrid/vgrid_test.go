@@ -74,6 +74,29 @@ func TestClusterBindsSingleSite(t *testing.T) {
 	}
 }
 
+// TestClusterTieBindsFirstSiteByName: three identical two-node sites tie
+// on lock-step rate; every call must bind the same one, the first by name,
+// whatever order the sites were added in.
+func TestClusterTieBindsFirstSiteByName(t *testing.T) {
+	g := topology.NewGrid(simcore.New(1))
+	for _, site := range []string{"B", "C", "A"} {
+		g.AddSite(site, 1e8, 1e-4)
+		for _, i := range []string{"1", "2"} {
+			g.AddNode(topology.NodeSpec{Name: site + i, Site: site, Arch: topology.ArchIA32, MHz: 1000, FlopsPerCycle: 1, MemMB: 512})
+		}
+	}
+	f := NewFinder(g, nil, nil)
+	for call := 0; call < 50; call++ {
+		v, err := f.Find(Spec{Name: "mpi", Kind: Cluster, MinNodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Nodes[0].Site().Name; got != "A" {
+			t.Fatalf("call %d bound site %s, want A", call, got)
+		}
+	}
+}
+
 func TestClusterAvoidsLoadedSite(t *testing.T) {
 	g, gs := macro(t)
 	for _, n := range g.Site("UCSD").Nodes() {
