@@ -310,14 +310,22 @@ func Simulate(m Market, consumers []*Consumer, rounds int, rng *rand.Rand) *Seri
 		base[i] = c.Demand
 	}
 	s := &Series{}
+	var sites []string
 	for r := 0; r < rounds; r++ {
 		for i, c := range consumers {
 			c.Demand = rng.Intn(2*base[i] + 1)
 		}
 		res := m.Round()
+		// Sum in site-name order: float addition is not associative, so
+		// map order would make the mean differ in its last bits run to run.
+		sites = sites[:0]
+		for site := range res.Prices {
+			sites = append(sites, site)
+		}
+		sort.Strings(sites)
 		mean := 0.0
-		for _, p := range res.Prices {
-			mean += p
+		for _, site := range sites {
+			mean += res.Prices[site]
 		}
 		if len(res.Prices) > 0 {
 			mean /= float64(len(res.Prices))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"grads/internal/appmgr"
 	"grads/internal/apps"
@@ -450,13 +449,12 @@ func substituteNode(p *simcore.Proc, env *Env, retr *resilience.Retrier, down *t
 	var pool []*topology.Node
 	err := retr.Do(p, "gis.query", func() error {
 		var qerr error
-		pool, qerr = env.GIS.QueryResources(p, gis.Filter{})
+		pool, qerr = env.GIS.QueryResources(p, gis.Filter{}, nil)
 		return qerr
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(pool, func(a, b int) bool { return pool[a].Name() < pool[b].Name() })
 	var sameArch []*topology.Node
 	for _, n := range pool {
 		if n.Spec.Arch == down.Spec.Arch {

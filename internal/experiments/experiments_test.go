@@ -356,6 +356,37 @@ func TestEconomyShape(t *testing.T) {
 	}
 }
 
+// TestEconomyRepeatable: same-seed runs agree to the last bit. Each round's
+// mean price sums a per-site price map, so summing in map order made
+// PriceVolatility and FinalMeanPrice differ in their low bits between runs.
+func TestEconomyRepeatable(t *testing.T) {
+	bits := func(res []EconomyResult) [][3]uint64 {
+		out := make([][3]uint64, len(res))
+		for i, r := range res {
+			out[i] = [3]uint64{math.Float64bits(r.PriceVolatility),
+				math.Float64bits(r.MeanUtilization), math.Float64bits(r.FinalMeanPrice)}
+		}
+		return out
+	}
+	var first [][3]uint64
+	for run := 0; run < 50; run++ {
+		res, err := RunEconomy(DefaultEconomyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bits(res)
+		if run == 0 {
+			first = got
+			continue
+		}
+		for i := range got {
+			if got[i] != first[i] {
+				t.Fatalf("run %d, %s: bits %x, first run %x", run, res[i].Formulation, got[i], first[i])
+			}
+		}
+	}
+}
+
 // TestWeatherShape verifies the forecasting ablation: under bursty cross
 // traffic, long-horizon NWS forecasts dominate instantaneous measurements
 // for migration decisions.

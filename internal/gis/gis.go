@@ -116,49 +116,33 @@ func (s *Service) matches(n *topology.Node, f Filter) bool {
 	return true
 }
 
-// QueryResources returns all nodes matching the filter, sorted by name.
-// The calling process pays QueryDelay.
-func (s *Service) QueryResources(p *simcore.Proc, f Filter) ([]*topology.Node, error) {
+// QueryResources appends every node matching the filter to dst, in name
+// order, and returns the extended slice. The calling process pays a single
+// QueryDelay regardless of pool size (the MDS answers the whole query in one
+// round trip). Brokers that arbitrate between competing applications (the
+// metascheduler) admit against one answer per decision round, so every
+// queued job in a round sees the same pool; passing the previous round's
+// buffer as dst[:0] makes the query allocation-free.
+func (s *Service) QueryResources(p *simcore.Proc, f Filter, dst []*topology.Node) ([]*topology.Node, error) {
 	s.queries++
 	if err := s.health.Check(p); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if err := p.Sleep(QueryDelay); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return s.selectNodes(f), nil
+	return s.selectNodes(f, dst), nil
 }
 
-// Snapshot is a point-in-time shared view of the live resource pool: the
-// matching nodes plus the virtual time the view was taken. Brokers that
-// arbitrate between competing applications (the metascheduler) admit
-// against one snapshot per decision round, so every queued job in a round
-// sees the same pool.
-type Snapshot struct {
-	Time  float64
-	Nodes []*topology.Node // live matching nodes, sorted by name
-}
-
-// TakeSnapshot answers one directory query with a consistent view of the
-// pool. The calling process pays a single QueryDelay regardless of pool
-// size (the MDS answers the whole query in one round trip).
-func (s *Service) TakeSnapshot(p *simcore.Proc, f Filter) (*Snapshot, error) {
-	nodes, err := s.QueryResources(p, f)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{Time: s.sim.Now(), Nodes: nodes}, nil
-}
-
-func (s *Service) selectNodes(f Filter) []*topology.Node {
-	var out []*topology.Node
+// selectNodes appends the matching nodes to dst. Grid.Nodes is already in
+// name order, so the result needs no sort.
+func (s *Service) selectNodes(f Filter, dst []*topology.Node) []*topology.Node {
 	for _, n := range s.grid.Nodes() {
 		if s.matches(n, f) {
-			out = append(out, n)
+			dst = append(dst, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
+	return dst
 }
 
 // NodeInfo is the per-node capability record a GIS query returns.

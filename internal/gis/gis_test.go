@@ -25,33 +25,39 @@ func TestQueryResourcesFilters(t *testing.T) {
 	s.RegisterSoftware("a1", "scalapack", "/opt/scalapack")
 
 	sim.Spawn("client", func(p *simcore.Proc) {
-		all, err := s.QueryResources(p, Filter{})
+		all, err := s.QueryResources(p, Filter{}, nil)
 		if err != nil || len(all) != 3 {
 			t.Errorf("unfiltered query = %d nodes, %v", len(all), err)
 		}
-		ia64, _ := s.QueryResources(p, Filter{Arch: topology.ArchIA64})
+		ia64, _ := s.QueryResources(p, Filter{Arch: topology.ArchIA64}, nil)
 		if len(ia64) != 1 || ia64[0].Name() != "b1" {
 			t.Errorf("arch filter = %v", ia64)
 		}
-		bigmem, _ := s.QueryResources(p, Filter{MinMemMB: 512})
+		bigmem, _ := s.QueryResources(p, Filter{MinMemMB: 512}, nil)
 		if len(bigmem) != 2 {
 			t.Errorf("mem filter = %d nodes, want 2", len(bigmem))
 		}
-		siteA, _ := s.QueryResources(p, Filter{Site: "A", MinMHz: 500})
+		siteA, _ := s.QueryResources(p, Filter{Site: "A", MinMHz: 500}, nil)
 		if len(siteA) != 1 || siteA[0].Name() != "a1" {
 			t.Errorf("site+mhz filter = %v", siteA)
 		}
-		withSW, _ := s.QueryResources(p, Filter{Software: []string{"scalapack"}})
+		withSW, _ := s.QueryResources(p, Filter{Software: []string{"scalapack"}}, nil)
 		if len(withSW) != 1 || withSW[0].Name() != "a1" {
 			t.Errorf("software filter = %v", withSW)
 		}
+		// The answer is appended to dst in name order, so a reused
+		// buffer is refilled in place.
+		ia32, _ := s.QueryResources(p, Filter{Arch: topology.ArchIA32}, all[:0])
+		if len(ia32) != 2 || ia32[0].Name() != "a1" || ia32[1].Name() != "a2" || &ia32[0] != &all[0] {
+			t.Errorf("query into a reused buffer = %v", ia32)
+		}
 	})
 	sim.Run()
-	if s.queries != 5 {
-		t.Fatalf("query count = %d, want 5", s.queries)
+	if s.queries != 6 {
+		t.Fatalf("query count = %d, want 6", s.queries)
 	}
 	// Each query costs QueryDelay of virtual time.
-	if want := 5 * QueryDelay; sim.Now() != want {
+	if want := 6 * QueryDelay; sim.Now() != want {
 		t.Fatalf("virtual time = %v, want %v", sim.Now(), want)
 	}
 }

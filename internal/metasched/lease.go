@@ -16,8 +16,10 @@
 package metasched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"grads/internal/simcore"
 	"grads/internal/telemetry"
@@ -52,7 +54,7 @@ type LeaseManager struct {
 	grid *topology.Grid
 
 	nextID int
-	leases map[int]*Lease
+	leases []*Lease // live leases by ID: IDs only grow, so Grant appends
 	owner  map[*topology.Node]*Lease
 
 	// Utilization accounting: leased-node integral over time.
@@ -68,10 +70,9 @@ type LeaseManager struct {
 // watcher.
 func NewLeaseManager(sim *simcore.Sim, grid *topology.Grid) *LeaseManager {
 	m := &LeaseManager{
-		sim:    sim,
-		grid:   grid,
-		leases: make(map[int]*Lease),
-		owner:  make(map[*topology.Node]*Lease),
+		sim:   sim,
+		grid:  grid,
+		owner: make(map[*topology.Node]*Lease),
 	}
 	m.unsubscribe = grid.OnNodeStateChange(func(n *topology.Node, down bool) {
 		if down {
@@ -122,7 +123,7 @@ func (m *LeaseManager) Grant(jobID string, nodes []*topology.Node) (*Lease, erro
 	m.account()
 	m.nextID++
 	l := &Lease{ID: m.nextID, JobID: jobID, Granted: m.sim.Now(), nodes: sortedByName(nodes)}
-	m.leases[l.ID] = l
+	m.leases = append(m.leases, l)
 	for _, n := range l.nodes {
 		m.owner[n] = l
 	}
@@ -137,7 +138,8 @@ func (m *LeaseManager) Release(l *Lease) {
 	if l == nil {
 		return
 	}
-	if _, ok := m.leases[l.ID]; !ok {
+	i, ok := m.find(l)
+	if !ok {
 		return
 	}
 	m.account()
@@ -147,7 +149,12 @@ func (m *LeaseManager) Release(l *Lease) {
 	m.leasedNow -= len(l.nodes)
 	m.emitLease(telemetry.EvLeaseRelease, l, len(l.nodes))
 	l.nodes = nil
-	delete(m.leases, l.ID)
+	m.leases = slices.Delete(m.leases, i, i+1)
+}
+
+// find returns the index of a live lease in m.leases.
+func (m *LeaseManager) find(l *Lease) (int, bool) {
+	return slices.BinarySearchFunc(m.leases, l.ID, func(x *Lease, id int) int { return cmp.Compare(x.ID, id) })
 }
 
 // Shrink reduces the lease to the keep subset (members of keep that are not
@@ -158,7 +165,7 @@ func (m *LeaseManager) Shrink(l *Lease, keep []*topology.Node) []*topology.Node 
 	if l == nil {
 		return nil
 	}
-	if _, ok := m.leases[l.ID]; !ok {
+	if _, ok := m.find(l); !ok {
 		return nil
 	}
 	keepSet := make(map[*topology.Node]bool, len(keep))
@@ -221,7 +228,9 @@ func (m *LeaseManager) reclaim(n *topology.Node) {
 // crash watcher reclaims synchronously, so one ever appearing means a
 // reclaim was lost), and the leased-node gauge equals both the ownership
 // map and the sum of lease sizes. The chaos soak calls it every tick; any
-// error is an accounting bug, not a tolerable transient.
+// error is an accounting bug, not a tolerable transient. Leases are walked
+// by ID and their nodes by name, so with several violations the error is
+// always the same one.
 func (m *LeaseManager) Audit() error {
 	total := 0
 	for _, l := range m.leases {
@@ -244,15 +253,17 @@ func (m *LeaseManager) Audit() error {
 	return nil
 }
 
-// Free filters a pool down to live, unleased nodes, sorted by name.
-func (m *LeaseManager) Free(pool []*topology.Node) []*topology.Node {
-	var out []*topology.Node
+// Free appends the live, unleased nodes of pool to dst, in pool order, and
+// returns the extended slice. The pool must already be sorted by name (a
+// GIS answer or Grid.Nodes is): Free keeps its order rather than sorting,
+// so the result is name-sorted exactly when the pool is.
+func (m *LeaseManager) Free(dst, pool []*topology.Node) []*topology.Node {
 	for _, n := range pool {
 		if !n.Down() && m.owner[n] == nil {
-			out = append(out, n)
+			dst = append(dst, n)
 		}
 	}
-	return sortedByName(out)
+	return dst
 }
 
 // emitLease publishes a lease transition plus the leased-nodes gauge.
@@ -279,7 +290,7 @@ func (m *LeaseManager) emitLease(ev telemetry.EventType, l *Lease, count int) {
 
 // sortedByName returns a name-sorted copy of nodes.
 func sortedByName(nodes []*topology.Node) []*topology.Node {
-	out := append([]*topology.Node(nil), nodes...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	out := slices.Clone(nodes)
+	slices.SortFunc(out, func(a, b *topology.Node) int { return strings.Compare(a.Name(), b.Name()) })
 	return out
 }

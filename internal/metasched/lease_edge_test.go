@@ -1,6 +1,7 @@
 package metasched
 
 import (
+	"fmt"
 	"testing"
 
 	"grads/internal/topology"
@@ -51,7 +52,7 @@ func TestReclaimDuringInFlightPreemption(t *testing.T) {
 		t.Fatalf("leasedNodes = %d, lease size = %d", lm.leasedNow, l.Size())
 	}
 	// Crashed nodes stay out of the free pool; the freed node is grantable.
-	for _, n := range lm.Free(nodes) {
+	for _, n := range lm.Free(nil, nodes) {
 		if n.Down() {
 			t.Fatalf("down node %s in free pool", n.Name())
 		}
@@ -178,7 +179,7 @@ func TestDoubleCrashSameNodeWithinOneTick(t *testing.T) {
 	if !nodes[1].Down() {
 		t.Fatal("node should have ended the tick down")
 	}
-	for _, n := range lm.Free(nodes) {
+	for _, n := range lm.Free(nil, nodes) {
 		if n == nodes[0] || n == nodes[1] {
 			t.Fatalf("crashed node %s in free pool", n.Name())
 		}
@@ -196,5 +197,29 @@ func TestDoubleCrashSameNodeWithinOneTick(t *testing.T) {
 	}
 	if l.Size() != 2 {
 		t.Fatalf("recovery changed the victim lease to %d nodes", l.Size())
+	}
+}
+
+// TestAuditReportsLowestLeaseFirst: with two leases each holding a node
+// that went down behind the crash watcher's back, Audit names the
+// lower-ID lease's violation every time, not whichever one map order
+// reached first.
+func TestAuditReportsLowestLeaseFirst(t *testing.T) {
+	r := newRig(1)
+	lm := NewLeaseManager(r.sim, r.grid)
+	nodes := sortedByName(r.grid.Nodes())
+	a, errA := lm.Grant("a", nodes[:2])
+	b, errB := lm.Grant("b", nodes[2:4])
+	if errA != nil || errB != nil {
+		t.Fatalf("grant: %v, %v", errA, errB)
+	}
+	// Node.SetDown bypasses Grid.SetNodeDown, so no reclaim runs.
+	a.nodes[1].SetDown(true)
+	b.nodes[0].SetDown(true)
+	want := fmt.Sprintf("lease audit: down node %s still held by lease %d (reclaim lost)", a.nodes[1].Name(), a.ID)
+	for i := 0; i < 50; i++ {
+		if err := lm.Audit(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Audit() = %v, want %q", i, err, want)
+		}
 	}
 }

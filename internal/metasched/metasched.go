@@ -246,8 +246,13 @@ type Scheduler struct {
 	byName map[string]*Job
 	queued []*Job // always in admission order under the policy
 
-	// Scratch reused by every round: the running jobs, their estimated
-	// lease releases, and the round's NWS availability view by node name.
+	// Scratch reused by every round: the GIS pool and its free part, the
+	// running jobs, their estimated lease releases, and the round's NWS
+	// availability view by node name. Reuse is safe because rounds never
+	// overlap (inRound), every mapper copies the pool it is given, and
+	// Grant copies the nodes it leases.
+	pool     []*topology.Node
+	free     []*topology.Node
 	running  []*Job
 	releases []release
 	avail    map[string]float64
@@ -489,12 +494,13 @@ func (s *Scheduler) round(p *simcore.Proc) {
 		return
 	}
 
-	snap, err := s.cfg.GIS.TakeSnapshot(p, gis.Filter{})
+	pool, err := s.cfg.GIS.QueryResources(p, gis.Filter{}, s.pool[:0])
 	if err != nil {
 		return // GIS outage: skip the round, leases stay as they are
 	}
-	avail := s.availFn(snap.Nodes)
-	free := s.leases.Free(snap.Nodes)
+	s.pool = pool
+	avail := s.availFn(pool)
+	free := s.freeNodes()
 
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
 		tel.Gauge(s.comp, "queue_depth").Set(float64(len(s.queued)))
@@ -513,7 +519,7 @@ func (s *Scheduler) round(p *simcore.Proc) {
 		head := s.queued[hi]
 		if nodes := s.placement(head, free, avail); len(nodes) >= s.needWidth(head) {
 			if s.admit(p, head, nodes) {
-				free = s.leases.Free(snap.Nodes)
+				free = s.freeNodes()
 				continue
 			}
 		}
@@ -532,10 +538,17 @@ func (s *Scheduler) round(p *simcore.Proc) {
 		if !admitted {
 			break
 		}
-		free = s.leases.Free(snap.Nodes)
+		free = s.freeNodes()
 	}
 
 	s.considerPreemption(now, free)
+}
+
+// freeNodes filters the round's GIS pool down to its free part, in a
+// scratch slice that the next call overwrites.
+func (s *Scheduler) freeNodes() []*topology.Node {
+	s.free = s.leases.Free(s.free[:0], s.pool)
+	return s.free
 }
 
 // placement maps a queued job over the free pool through its own mapper.

@@ -96,11 +96,11 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("grant b: %v", err)
 	}
-	if got := len(lm.Free(nodes)); got != 4 {
+	if got := len(lm.Free(nil, nodes)); got != 4 {
 		t.Fatalf("free = %d, want 4", got)
 	}
 	lm.Release(a)
-	if got := len(lm.Free(nodes)); got != 8 {
+	if got := len(lm.Free(nil, nodes)); got != 8 {
 		t.Fatalf("free after release = %d, want 8", got)
 	}
 	freed := lm.Shrink(b, b.Nodes()[:1])
@@ -141,7 +141,7 @@ func TestLeaseReclaimAndUtilization(t *testing.T) {
 			t.Fatalf("crashed node %s still in the lease", n.Name())
 		}
 	}
-	for _, n := range lm.Free(nodes) {
+	for _, n := range lm.Free(nil, nodes) {
 		if n == nodes[0] {
 			t.Fatal("down node in free pool")
 		}

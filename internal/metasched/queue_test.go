@@ -198,7 +198,7 @@ func newScanBroker(tb testing.TB) (s *Scheduler, free []*topology.Node) {
 		s.jobs = append(s.jobs, j)
 		s.enqueue(j)
 	}
-	return s, s.leases.Free(r.grid.Nodes())
+	return s, s.leases.Free(nil, r.grid.Nodes())
 }
 
 var scanSink int

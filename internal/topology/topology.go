@@ -7,7 +7,9 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"grads/internal/cpusim"
 	"grads/internal/netsim"
@@ -80,14 +82,17 @@ type Site struct {
 // Nodes returns the site's nodes in creation order.
 func (s *Site) Nodes() []*Node { return s.nodes }
 
-// Grid assembles nodes, sites and links over a simulation kernel.
+// Grid assembles nodes, sites and links over a simulation kernel. Like
+// the kernel, it is used from one goroutine at a time: even Nodes may
+// rebuild its index.
 type Grid struct {
 	Sim *simcore.Sim
 	Net *netsim.Network
 
-	sites map[string]*Site
-	nodes map[string]*Node
-	wan   map[string]*netsim.Link // key: siteA + "|" + siteB, lexicographic
+	sites  map[string]*Site
+	nodes  map[string]*Node
+	byName []*Node                 // every node, sorted by name; Nodes rebuilds it after AddNode
+	wan    map[string]*netsim.Link // key: siteA + "|" + siteB, lexicographic
 
 	watchers    []nodeWatcher
 	nextWatchID int
@@ -183,13 +188,20 @@ func (g *Grid) Node(name string) *Node { return g.nodes[name] }
 func (g *Grid) Site(name string) *Site { return g.sites[name] }
 
 // Nodes returns all nodes sorted by name (deterministic iteration order).
+// The slice is the grid's own index: callers must not sort it or write
+// into it. Its capacity is capped at its length, so appending to it copies.
+// The first call after an AddNode builds a fresh index, once for a whole
+// batch of additions, so a slice taken earlier keeps its contents.
 func (g *Grid) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, n)
+	if len(g.byName) != len(g.nodes) {
+		idx := make([]*Node, 0, len(g.nodes))
+		for _, n := range g.nodes {
+			idx = append(idx, n)
+		}
+		slices.SortFunc(idx, func(a, b *Node) int { return strings.Compare(a.Spec.Name, b.Spec.Name) })
+		g.byName = idx
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
-	return out
+	return g.byName[:len(g.byName):len(g.byName)]
 }
 
 // Sites returns all sites sorted by name.

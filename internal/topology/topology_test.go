@@ -294,3 +294,37 @@ func TestRouteDependsOnlyOnSitePair(t *testing.T) {
 		t.Fatalf("saw %d ordered site pairs, want %d", len(first), sites*sites)
 	}
 }
+
+// TestNodesIndex: Nodes is name-sorted whatever order nodes were added in,
+// a slice taken before a later AddNode keeps its contents, and appending
+// to the result copies rather than writing into the grid's index.
+func TestNodesIndex(t *testing.T) {
+	g := NewGrid(simcore.New(1))
+	g.AddSite("A", 1e6, 1e-4)
+	names := func(ns []*Node) []string {
+		out := make([]string, len(ns))
+		for i, n := range ns {
+			out[i] = n.Name()
+		}
+		return out
+	}
+	for _, name := range []string{"c", "a", "d"} {
+		g.AddNode(NodeSpec{Name: name, Site: "A"})
+	}
+	before := g.Nodes()
+	if got := names(before); !slices.Equal(got, []string{"a", "c", "d"}) {
+		t.Fatalf("Nodes() = %v, want [a c d]", got)
+	}
+	g.AddNode(NodeSpec{Name: "b", Site: "A"})
+	if got := names(g.Nodes()); !slices.Equal(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("Nodes() after AddNode(b) = %v, want [a b c d]", got)
+	}
+	if got := names(before); !slices.Equal(got, []string{"a", "c", "d"}) {
+		t.Fatalf("slice taken before AddNode(b) changed to %v", got)
+	}
+	grown := append(g.Nodes(), g.Node("a"))
+	grown[0] = g.Node("d")
+	if got := names(g.Nodes()); !slices.Equal(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("appending to Nodes() changed the index to %v", got)
+	}
+}
