@@ -12,7 +12,8 @@
 #            -arrivals run per -route policy, and one run per kind of
 #            rejected input
 #   simbench every workload at --size tiny, untraced and traced
-#   dmlgrid  a two-site grid on stdin
+#   dmlgrid  a two-site grid on stdin, and two rejected grids: one that
+#            declares a site twice, one that gives a node attribute twice
 #   examples every program under examples/
 #
 # Writes to OUTDIR (default coverage-out/):
@@ -119,6 +120,8 @@ for w in soak-broker serve-fleet dag-plan eman-run; do
 done
 printf 'site A bw=1Gb lat=100us\nsite B bw=100Mb lat=1ms\ncluster a count=2 site=A\ncluster b count=2 site=B mhz=900\nwan A B bw=10Mb lat=20ms\n' |
     run "$bin/dmlgrid" -warmup 30 -
+reject "$bin/dmlgrid" - <<<$'site A bw=1Gb lat=100us\nsite A bw=1Gb lat=100us'
+reject "$bin/dmlgrid" - <<<$'site A bw=1Gb lat=100us\nnode n site=A mhz=100 mhz=900'
 for d in examples/*/; do
     run "$bin/example-$(basename "$d")"
 done

@@ -26,7 +26,6 @@ func main() {
 	finder := vgrid.NewFinder(env.Grid, env.GIS, env.Weather)
 	vg, err := finder.Find(vgrid.Spec{
 		Name:     "qr-cluster",
-		Kind:     vgrid.Cluster,
 		MinNodes: 4,
 		MaxNodes: 8,
 		Arch:     topology.ArchIA32,

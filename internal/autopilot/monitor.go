@@ -60,7 +60,6 @@ type Monitor struct {
 	proc      *simcore.Proc
 	stopped   bool
 	trace     []TickRecord
-	actuators *ActuatorRegistry
 
 	violations int
 	adjustUps  int
@@ -181,11 +180,8 @@ func (m *Monitor) tick() {
 					},
 				})
 			}
-			switch {
-			case m.OnViolation != nil:
+			if m.OnViolation != nil {
 				acted = m.OnViolation(v)
-			case m.actuators != nil:
-				acted = m.actViaRegistry(v)
 			}
 			if acted {
 				// Corrective action taken: reset history so the new

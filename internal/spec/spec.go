@@ -1,7 +1,8 @@
 // Package spec is the lexical layer of the one-line workload grammars
-// (-faults, -jobs, -arrivals, -zoo): entries, heads, windows, key=value
-// lists and numbers, every token trimmed. What the tokens mean — kinds,
-// keys, ranges, defaults, canonical order — stays with each grammar.
+// (-faults, -jobs, -arrivals, -zoo) and of the DML grid description's
+// attributes: entries, heads, windows, key=value lists and numbers, every
+// token trimmed. What the tokens mean — kinds, keys, ranges, defaults,
+// canonical order — stays with each grammar.
 package spec
 
 import (
@@ -65,9 +66,13 @@ type Param struct{ Key, Val string }
 
 // Params splits a ','-separated key=value list in written order. An item
 // without '=' and a key given twice are errors.
-func Params(s string) ([]Param, error) {
+func Params(s string) ([]Param, error) { return ParamList(strings.Split(s, ",")) }
+
+// ParamList lexes key=value items that are already split apart (say, the
+// whitespace-separated fields of a line), with the rules of Params.
+func ParamList(items []string) ([]Param, error) {
 	var out []Param
-	for _, item := range strings.Split(s, ",") {
+	for _, item := range items {
 		key, val, ok := strings.Cut(item, "=")
 		if !ok {
 			return nil, fmt.Errorf("bad param %q (want key=value)", strings.TrimSpace(item))

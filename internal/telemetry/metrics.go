@@ -150,16 +150,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min returns the smallest observation (0 with none).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
 // Max returns the largest observation (0 with none).
 func (h *Histogram) Max() float64 {
 	if h == nil {

@@ -202,6 +202,12 @@ func TestParseDMLErrors(t *testing.T) {
 		"cluster c site=X",  // missing count
 		"wan A",
 		"node n1 site=X unknown=1",
+		"node n1 site=X mhz=0",
+		"node n1 site=X fpc=Inf",
+		"cluster c count=0 site=X",
+		"site Y bw=NaN lat=1ms",
+		"site Y bw=1MB lat=1ms extra=1",
+		"wan X X bw=1MB lat=1ms",
 	}
 	for _, text := range bad {
 		if _, err := ParseDML(simcore.New(1), "site X bw=1MB lat=0\n"+text); err == nil {

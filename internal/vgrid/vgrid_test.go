@@ -19,43 +19,10 @@ func macro(t *testing.T) (*topology.Grid, *gis.Service) {
 	return g, gs
 }
 
-func TestLooseBagPicksFastest(t *testing.T) {
-	g, gs := macro(t)
-	f := NewFinder(g, gs, nil)
-	v, err := f.Find(Spec{Name: "bag", Kind: LooseBag, MinNodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Nodes) != 4 {
-		t.Fatalf("got %d nodes", len(v.Nodes))
-	}
-	// The 12 IA-64 nodes (1.8 Gflop/s) are the fastest on the MacroGrid.
-	for _, n := range v.Nodes {
-		if n.Spec.Arch != topology.ArchIA64 {
-			t.Fatalf("loose bag picked %s (%s), want IA-64 fastest", n.Name(), n.Spec.Arch)
-		}
-	}
-	if v.Rate != 4*1.8e9 {
-		t.Fatalf("rate = %v", v.Rate)
-	}
-}
-
-func TestLooseBagMaxNodes(t *testing.T) {
-	g, gs := macro(t)
-	f := NewFinder(g, gs, nil)
-	v, err := f.Find(Spec{Name: "bag", Kind: LooseBag, MinNodes: 2, MaxNodes: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Nodes) != 20 {
-		t.Fatalf("got %d nodes, want MaxNodes=20", len(v.Nodes))
-	}
-}
-
 func TestClusterBindsSingleSite(t *testing.T) {
 	g, gs := macro(t)
 	f := NewFinder(g, gs, nil)
-	v, err := f.Find(Spec{Name: "mpi", Kind: Cluster, MinNodes: 10, Arch: topology.ArchIA32})
+	v, err := f.Find(Spec{Name: "mpi", MinNodes: 10, Arch: topology.ArchIA32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +54,7 @@ func TestClusterTieBindsFirstSiteByName(t *testing.T) {
 	}
 	f := NewFinder(g, nil, nil)
 	for call := 0; call < 50; call++ {
-		v, err := f.Find(Spec{Name: "mpi", Kind: Cluster, MinNodes: 2})
+		v, err := f.Find(Spec{Name: "mpi", MinNodes: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +70,7 @@ func TestClusterAvoidsLoadedSite(t *testing.T) {
 		n.CPU.SetExternalLoad(4) // UCSD now effectively 5x slower
 	}
 	f := NewFinder(g, gs, nil)
-	v, err := f.Find(Spec{Name: "mpi", Kind: Cluster, MinNodes: 10, Arch: topology.ArchIA32})
+	v, err := f.Find(Spec{Name: "mpi", MinNodes: 10, Arch: topology.ArchIA32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,45 +79,10 @@ func TestClusterAvoidsLoadedSite(t *testing.T) {
 	}
 }
 
-func TestTightBagRespectsLatencyBound(t *testing.T) {
-	g, gs := macro(t)
-	f := NewFinder(g, gs, nil)
-	// 12 ms bound: only UTK-UIUC (11 ms) qualifies as a cross-site pair.
-	v, err := f.Find(Spec{Name: "tight", Kind: TightBag, MinNodes: 40, MaxLatency: 0.012})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := map[string]bool{}
-	for _, n := range v.Nodes {
-		sites[n.Site().Name] = true
-	}
-	for s := range sites {
-		if s != "UTK" && s != "UIUC" {
-			t.Fatalf("tight bag includes %s beyond the latency bound", s)
-		}
-	}
-	if len(v.Nodes) != 40 {
-		t.Fatalf("got %d nodes", len(v.Nodes))
-	}
-	// A 40-node single site does not exist, so the bound was necessary.
-	if !sites["UTK"] || !sites["UIUC"] {
-		t.Fatalf("expected both UTK and UIUC, got %v", sites)
-	}
-}
-
-func TestTightBagImpossibleBound(t *testing.T) {
-	g, gs := macro(t)
-	f := NewFinder(g, gs, nil)
-	// 1 ms bound: no cross-site group; largest single site has 24 nodes.
-	if _, err := f.Find(Spec{Name: "x", Kind: TightBag, MinNodes: 30, MaxLatency: 0.001}); err == nil {
-		t.Fatal("impossible tight bag satisfied")
-	}
-}
-
 func TestSoftwareConstraint(t *testing.T) {
 	g, gs := macro(t)
 	f := NewFinder(g, gs, nil)
-	v, err := f.Find(Spec{Name: "sw", Kind: LooseBag, MinNodes: 2, Software: []string{"special"}})
+	v, err := f.Find(Spec{Name: "sw", MinNodes: 2, Software: []string{"special"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +91,7 @@ func TestSoftwareConstraint(t *testing.T) {
 			t.Fatalf("%s lacks the required software", n.Name())
 		}
 	}
-	if _, err := f.Find(Spec{Name: "sw", Kind: LooseBag, MinNodes: 3, Software: []string{"special"}}); err == nil {
+	if _, err := f.Find(Spec{Name: "sw", MinNodes: 3, Software: []string{"special"}}); err == nil {
 		t.Fatal("only 2 nodes have the software; MinNodes=3 should fail")
 	}
 }
@@ -170,7 +102,7 @@ func TestDownNodesExcluded(t *testing.T) {
 		n.SetDown(true)
 	}
 	f := NewFinder(g, gs, nil)
-	v, err := f.Find(Spec{Name: "bag", Kind: LooseBag, MinNodes: 6})
+	v, err := f.Find(Spec{Name: "mpi", MinNodes: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +111,7 @@ func TestDownNodesExcluded(t *testing.T) {
 			t.Fatal("selected a failed node")
 		}
 	}
-	if _, err := f.Find(Spec{Name: "ia64", Kind: LooseBag, MinNodes: 1, Arch: topology.ArchIA64}); err == nil {
+	if _, err := f.Find(Spec{Name: "ia64", MinNodes: 1, Arch: topology.ArchIA64}); err == nil {
 		t.Fatal("all IA-64 nodes are down; request should fail")
 	}
 }
@@ -187,13 +119,10 @@ func TestDownNodesExcluded(t *testing.T) {
 func TestSpecValidation(t *testing.T) {
 	g, gs := macro(t)
 	f := NewFinder(g, gs, nil)
-	if _, err := f.Find(Spec{Name: "zero", Kind: LooseBag}); err == nil {
+	if _, err := f.Find(Spec{Name: "zero"}); err == nil {
 		t.Fatal("MinNodes=0 accepted")
 	}
-	if _, err := f.Find(Spec{Name: "huge", Kind: Cluster, MinNodes: 1000}); err == nil {
+	if _, err := f.Find(Spec{Name: "huge", MinNodes: 1000}); err == nil {
 		t.Fatal("oversized request accepted")
-	}
-	if LooseBag.String() != "LooseBag" || Cluster.String() != "Cluster" || TightBag.String() != "TightBag" {
-		t.Fatal("Kind.String wrong")
 	}
 }
