@@ -28,12 +28,21 @@ func TestRun(t *testing.T) {
 		stdin  string
 		code   int
 		stdout []string // each must appear in stdout
+		tail   string   // stdout must end with it
 		stderr string   // must appear in stderr
 		runs   int      // when above 1, every run must print the same stderr
 	}{
 		{
 			name: "valid-stdin", args: []string{"-warmup", "30", "-"}, stdin: twoSites, code: 0,
 			stdout: []string{"grid: 2 sites, 4 nodes", "site A", "a1 ", "A <-> B", "NWS snapshot after 30s"},
+		},
+		{
+			// Site names may hold the '|' of a WAN link's name.
+			name: "bar-in-site-names", args: []string{"-warmup", "0", "-"},
+			stdin: "site A|B bw=1Gb lat=100us\nsite C bw=1Gb lat=100us\nsite A bw=1Gb lat=100us\n" +
+				"site B|C bw=1Gb lat=100us\nwan A|B C bw=10Mb lat=20ms\nwan A B|C bw=100Mb lat=5ms\n",
+			code: 0,
+			tail: "WAN links:\n  A <-> B|C  12.50 MB/s, 5.0 ms\n  A|B <-> C  1.25 MB/s, 20.0 ms\n",
 		},
 		{name: "malformed", args: []string{"-"}, stdin: "site A bw=fast\n", code: 1, stderr: "dmlgrid:"},
 		{
@@ -101,6 +110,9 @@ func TestRun(t *testing.T) {
 				if !strings.Contains(stdout.String(), want) {
 					t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
 				}
+			}
+			if !strings.HasSuffix(stdout.String(), c.tail) {
+				t.Errorf("stdout does not end with %q:\n%s", c.tail, stdout.String())
 			}
 			if c.code != 0 && stdout.Len() != 0 {
 				t.Errorf("failed run wrote to stdout: %q", stdout.String())

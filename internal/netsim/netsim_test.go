@@ -216,9 +216,8 @@ func TestQuickMaxMinFeasibleAndPositive(t *testing.T) {
 					ok = false
 				}
 			}
-			s.Stop()
 		})
-		s.Run()
+		s.RunUntil(0.5)
 		return ok
 	}
 	cfg := &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(21))}

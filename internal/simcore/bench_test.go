@@ -3,6 +3,7 @@ package simcore
 import (
 	"container/heap"
 	"io"
+	"math"
 	"testing"
 
 	"grads/internal/telemetry"
@@ -171,9 +172,85 @@ func BenchmarkKernelCancelReschedule(b *testing.B) {
 	sim.Run()
 }
 
-// BenchmarkProcSleepResume measures the pooled process-resume path (Sleep
-// schedules a proc event with no per-call closure).
-func BenchmarkProcSleepResume(b *testing.B) {
+// The two-channel process protocol the handoff replaced, kept verbatim as
+// the baseline of the process benchmarks: the kernel goroutine runs the
+// event loop, and every process wakeup is a kernel→process switch on resume
+// plus a process→kernel switch on parked. It runs over the arena queue, so
+// each Kernel*Proc pair differs only in the protocol; cmd/benchguard gates
+// the speedups (BENCH_kernel.json).
+
+type legacyProcSim struct {
+	now float64
+	seq int64
+	q   eventQueue
+}
+
+type legacyProc struct {
+	sim    *legacyProcSim
+	resume chan error
+	parked chan struct{}
+	dead   bool
+	wake   func()
+}
+
+func (s *legacyProcSim) at(t float64, fn func()) {
+	s.seq++
+	idx := s.q.alloc(t, s.seq, fn, nil)
+	s.q.push(heapEntry{tb: math.Float64bits(t), ord: uint64(s.seq)<<ordIdxBits | uint64(idx)})
+	s.q.live++
+}
+
+func (s *legacyProcSim) run() {
+	for {
+		idx := s.q.peekLive()
+		if idx < 0 {
+			return
+		}
+		s.q.deleteMin()
+		sl := &s.q.slots[idx]
+		t, fn := sl.t, sl.fn
+		s.q.live--
+		s.q.recycle(idx)
+		s.now = t
+		fn()
+	}
+}
+
+func (s *legacyProcSim) spawnAt(t float64, body func(p *legacyProc)) {
+	p := &legacyProc{sim: s, resume: make(chan error), parked: make(chan struct{})}
+	p.wake = func() { p.run(nil) }
+	go func() {
+		if err := <-p.resume; err == nil {
+			body(p)
+		}
+		p.dead = true
+		p.parked <- struct{}{}
+	}()
+	s.at(t, p.wake)
+}
+
+func (p *legacyProc) run(cause error) {
+	if p.dead {
+		return
+	}
+	p.resume <- cause
+	<-p.parked
+}
+
+func (p *legacyProc) park() error {
+	p.parked <- struct{}{}
+	return <-p.resume
+}
+
+func (p *legacyProc) sleep(d float64) error {
+	p.sim.at(p.sim.now+d, p.wake)
+	return p.park()
+}
+
+// BenchmarkKernelProcSelfResume measures a lone sleeper: each wakeup
+// resumes the process that just parked, which the handoff does with no
+// goroutine switch.
+func BenchmarkKernelProcSelfResume(b *testing.B) {
 	sim := New(1)
 	iters := b.N
 	sim.Spawn("sleeper", func(p *Proc) {
@@ -184,6 +261,50 @@ func BenchmarkProcSleepResume(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	sim.Run()
+}
+
+func BenchmarkKernelProcSelfResumeLegacy(b *testing.B) {
+	sim := &legacyProcSim{}
+	iters := b.N
+	sim.spawnAt(0, func(p *legacyProc) {
+		for i := 0; i < iters; i++ {
+			p.sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.run()
+}
+
+// BenchmarkKernelProcHandoff measures two sleepers at offset times: each
+// wakeup resumes the other process, one goroutine switch with the handoff
+// and two through the kernel goroutine. One op is one wakeup.
+func BenchmarkKernelProcHandoff(b *testing.B) {
+	sim := New(1)
+	for i, iters := range []int{(b.N + 1) / 2, b.N / 2} {
+		sim.SpawnAt(float64(i)/2, "sleeper", func(p *Proc) {
+			for j := 0; j < iters; j++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.Run()
+}
+
+func BenchmarkKernelProcHandoffLegacy(b *testing.B) {
+	sim := &legacyProcSim{}
+	for i, iters := range []int{(b.N + 1) / 2, b.N / 2} {
+		sim.spawnAt(float64(i)/2, func(p *legacyProc) {
+			for j := 0; j < iters; j++ {
+				p.sleep(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.run()
 }
 
 // The traced pair measures instrumented kernel throughput — the tentpole

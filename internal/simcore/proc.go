@@ -16,14 +16,20 @@ var ErrKilled = errors.New("simcore: killed")
 // Proc is a simulated process: a goroutine whose execution is interleaved
 // with the event kernel so that exactly one goroutine runs at a time.
 // All methods on Proc must be called from the process's own goroutine,
-// except Interrupt, Kill, Alive and Name, which are for external use.
+// except Interrupt, Kill, Resume, Alive and Name, which are for external use.
+//
+// A process runs either dispatched, woken by an event the event loop fired,
+// or synchronously, switched to by Resume, Interrupt or Kill. When a
+// dispatched process parks or exits it passes control on to the next
+// process itself (see Sim.handoff); a synchronously resumed one returns
+// control to its caller.
 type Proc struct {
 	sim  *Sim
 	id   int
 	name string
 
-	resume chan error    // kernel -> proc: run (value is interrupt cause or nil)
-	parked chan struct{} // proc -> kernel: parked or terminated
+	resume chan error    // -> proc: run (value is interrupt cause or nil)
+	parked chan struct{} // proc -> synchronous caller: parked or terminated
 
 	// unblock removes the process from whatever wait structure it is
 	// parked on (timer, channel queue, signal list). Set on every park;
@@ -39,6 +45,10 @@ type Proc struct {
 
 	alive bool
 	dead  bool
+
+	// dispatched is set at each switch-in: true when the event loop woke
+	// the process, false for a synchronous Resume or Interrupt.
+	dispatched bool
 }
 
 // Spawn creates a process named name executing body and schedules it to
@@ -81,18 +91,31 @@ func (s *Sim) SpawnAt(t float64, name string, body func(p *Proc)) *Proc {
 				Args: []telemetry.Arg{telemetry.I("id", p.id)},
 			})
 		}
-		p.parked <- struct{}{} // final handoff back to the kernel
+		if p.dispatched {
+			s.handoff(p)
+		} else {
+			p.parked <- struct{}{}
+		}
 	}()
 	s.scheduleAt(t, nil, p)
 	return p
 }
 
-// run hands control to the process goroutine and blocks the kernel until the
-// process parks again or terminates.
+// run switches to the process synchronously: it hands control to the
+// process goroutine and blocks the caller until the process parks again or
+// terminates.
 func (p *Proc) run(cause error) {
 	if p.dead {
 		return
 	}
+	p.switchIn(cause, false)
+	p.resume <- cause
+	<-p.parked
+}
+
+// switchIn counts and traces one resume of p, about to be given control.
+func (p *Proc) switchIn(cause error, dispatched bool) {
+	p.dispatched = dispatched
 	p.sim.cSwitches.Add(1)
 	if p.sim.tel != nil {
 		p.sim.tel.Emit(telemetry.Event{
@@ -100,12 +123,10 @@ func (p *Proc) run(cause error) {
 			Args: []telemetry.Arg{telemetry.I("id", p.id), telemetry.B("interrupted", cause != nil)},
 		})
 	}
-	p.resume <- cause
-	<-p.parked
 }
 
-// park suspends the process until the kernel resumes it. The caller must
-// have arranged a wakeup (a scheduled event or a queue registration) and set
+// park suspends the process until it is resumed. The caller must have
+// arranged a wakeup (a scheduled event or a queue registration) and set
 // p.unblock to a function that revokes that arrangement. park returns the
 // interrupt cause, or nil for a normal wakeup.
 func (p *Proc) park() error {
@@ -115,7 +136,12 @@ func (p *Proc) park() error {
 			Args: []telemetry.Arg{telemetry.I("id", p.id)},
 		})
 	}
-	p.parked <- struct{}{}
+	if !p.dispatched {
+		p.parked <- struct{}{}
+	} else if p.sim.handoff(p) {
+		p.unblock = nil
+		return nil
+	}
 	err := <-p.resume
 	p.unblock = nil
 	return err
@@ -155,8 +181,9 @@ func (p *Proc) Yield() error { return p.Sleep(0) }
 // Interrupt wakes the process with the given cause if it is blocked.
 // The cause must be non-nil; the blocked operation returns it as its error.
 // Interrupting a process that is not blocked (running or terminated) is a
-// no-op and returns false. Interrupt must be called from kernel context or
-// another process, never from the target process itself.
+// no-op and returns false. The target runs synchronously: Interrupt returns
+// once it parks again or exits. Interrupt must be called from an event
+// callback or another process, never from the target process itself.
 func (p *Proc) Interrupt(cause error) bool {
 	if cause == nil {
 		cause = ErrInterrupted
@@ -189,9 +216,10 @@ func (p *Proc) ParkWith(onInterrupt func()) error {
 }
 
 // Resume wakes a process parked via ParkWith with the given cause (nil for
-// a normal wakeup). It must be called from kernel event context or from
-// another process, and only while the target is parked; resuming a process
-// that is not parked deadlocks the simulation.
+// a normal wakeup) and runs it synchronously: Resume returns once the
+// process parks again or exits. It must be called from an event callback or
+// from another process, and only while the target is parked; resuming a
+// process that is not parked deadlocks the simulation.
 func (p *Proc) Resume(cause error) {
 	p.unblock = nil
 	p.run(cause)

@@ -4,9 +4,17 @@
 // The kernel is the substrate for the Grid emulator (our MicroGrid
 // equivalent): the network model, CPU model, grid services, the MPI layer and
 // the GrADS runtime all execute inside a single Sim. Exactly one goroutine —
-// either the kernel or one simulated process — runs at any moment, so
-// simulations are fully deterministic: identical inputs and seeds yield
-// identical traces.
+// the host (the caller of Run, RunUntil, RunBefore or Step) or one simulated
+// process — runs at any moment, so simulations are fully deterministic:
+// identical inputs and seeds yield identical traces.
+//
+// Event callbacks always run on the host goroutine. A process wakeup the
+// event loop fires dispatches the process; when that process parks or
+// exits it continues the loop itself, handing control straight to the
+// process the next event wakes (or carrying on, if that is itself) and
+// back to the host only for a callback or at the end of the call. A
+// synchronous switch — Proc.Resume, Interrupt or Kill — instead runs the
+// target until it parks and then returns to its caller.
 package simcore
 
 import (
@@ -29,7 +37,16 @@ type Sim struct {
 	nextProcID int
 	liveProcs  map[int]*Proc
 
-	stopped bool
+	// The limits of the running RunUntil, RunBefore or Step call, applied
+	// by next: an event later than limit stays queued, and budget counts
+	// the events the call may still fire.
+	limit  float64
+	budget uint64
+
+	// host carries control back to the goroutine that called RunUntil,
+	// RunBefore or Step when a dispatched process cannot hand it to the
+	// next process directly.
+	host chan struct{}
 
 	// Telemetry. tel is nil when observability is off; the cached metric
 	// handles below are nil then too, making every instrumentation site a
@@ -46,6 +63,7 @@ func New(seed int64) *Sim {
 	return &Sim{
 		rng:       rand.New(rand.NewSource(seed)),
 		liveProcs: make(map[int]*Proc),
+		host:      make(chan struct{}),
 	}
 }
 
@@ -107,52 +125,20 @@ func (s *Sim) scheduleAt(t float64, fn func(), proc *Proc) Event {
 	return Event{s: s, t: t, idx: idx, gen: s.q.slots[idx].gen}
 }
 
-// Stop makes the current Run call return after the current event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Run processes events until no live events remain or Stop is called.
-// It returns the final virtual time.
+// Run processes events until no live events remain. It returns the final
+// virtual time.
 func (s *Sim) Run() float64 { return s.RunUntil(math.Inf(1)) }
 
 // RunUntil processes events with firing times <= horizon, then advances the
 // clock to min(horizon, next event time) and returns the current time.
 // If horizon is +Inf the clock is left at the last fired event.
 func (s *Sim) RunUntil(horizon float64) float64 {
-	s.stopped = false
-	for !s.stopped {
-		idx := s.q.peekLive()
-		if idx < 0 {
-			break
-		}
-		if s.q.slots[idx].t > horizon {
-			s.now = horizon
-			return s.now
-		}
-		s.fire(idx)
-	}
-	if !math.IsInf(horizon, 1) && horizon > s.now {
+	s.run(horizon, math.MaxUint64)
+	// A live event left behind lies past the horizon.
+	if s.q.peekLive() >= 0 || !math.IsInf(horizon, 1) && horizon > s.now {
 		s.now = horizon
 	}
 	return s.now
-}
-
-// fire pops the queue's minimum — the live event in slot idx — recycles the
-// slot before running the callback (so the callback may immediately reuse
-// it for new events), advances the clock, and runs the callback.
-func (s *Sim) fire(idx int32) {
-	s.q.deleteMin()
-	sl := &s.q.slots[idx]
-	t, fn, proc := sl.t, sl.fn, sl.proc
-	s.q.live--
-	s.q.recycle(idx)
-	s.now = t
-	s.fired++
-	s.cEvents.Add(1)
-	if proc != nil {
-		proc.run(nil)
-	} else {
-		fn()
-	}
 }
 
 // NextEventTime returns the firing time of the earliest live event and true,
@@ -174,28 +160,101 @@ func (s *Sim) NextEventTime() (float64, bool) {
 // never clamped forward. This is the round primitive for barrier-synchronous
 // sharded execution, where bound is the round horizon (LBTS + lookahead).
 func (s *Sim) RunBefore(bound float64) float64 {
-	s.stopped = false
-	for !s.stopped {
-		idx := s.q.peekLive()
-		if idx < 0 {
-			break
-		}
-		if !(s.q.slots[idx].t < bound) {
-			break
-		}
-		s.fire(idx)
+	// t < bound is t <= the float just below bound; NaN admits nothing.
+	limit := math.Inf(-1)
+	if bound == bound {
+		limit = math.Nextafter(bound, limit)
 	}
+	s.run(limit, math.MaxUint64)
 	return s.now
 }
 
 // Step fires exactly one event, if one exists, and reports whether it did.
 func (s *Sim) Step() bool {
+	fired := s.fired
+	s.run(math.Inf(1), 1)
+	return s.fired != fired
+}
+
+// run is the event loop of RunUntil, RunBefore and Step, executed on the
+// host goroutine (the one that called them). It installs the call's limits
+// for next, runs callbacks itself and dispatches each process wakeup to its
+// process, then waits on host until the chain of processes that wakeup
+// started hands control back.
+func (s *Sim) run(limit float64, budget uint64) {
+	s.limit, s.budget = limit, budget
+	for idx := s.next(); idx >= 0; idx = s.next() {
+		fn, p := s.take(idx)
+		switch {
+		case fn != nil:
+			fn()
+		case !p.dead:
+			p.switchIn(nil, true)
+			p.resume <- nil
+			<-s.host
+		}
+	}
+}
+
+// next returns the arena index of the earliest live event the current run
+// call may fire, or -1 when the queue is dry, that event lies beyond the
+// call's limit, or the call's event budget is spent.
+func (s *Sim) next() int32 {
+	if s.budget == 0 {
+		return -1
+	}
 	idx := s.q.peekLive()
 	if idx < 0 {
+		return -1
+	}
+	if s.q.slots[idx].t > s.limit {
+		return -1
+	}
+	return idx
+}
+
+// take pops the queue's minimum — the live event in slot idx — recycles the
+// slot (so the event's code may immediately reuse it for new events),
+// advances the clock and returns the event's callback or process.
+func (s *Sim) take(idx int32) (func(), *Proc) {
+	s.q.deleteMin()
+	sl := &s.q.slots[idx]
+	fn, proc := sl.fn, sl.proc
+	s.now = sl.t
+	s.q.live--
+	s.q.recycle(idx)
+	s.fired++
+	s.budget--
+	s.cEvents.Add(1)
+	return fn, proc
+}
+
+// handoff passes control on from p, a dispatched process that is parking
+// or exiting, so a process wakeup costs at most one goroutine switch. It
+// retires the process wakeups the current run call may fire until one
+// resumes a live process. If that is p itself, handoff reports true and p
+// carries on with no channel operation; another process gets control
+// through its resume channel. A callback event, or the end of the call,
+// sends control back to the host goroutine instead, so callbacks never run
+// on a process stack.
+func (s *Sim) handoff(p *Proc) bool {
+	for {
+		idx := s.next()
+		if idx < 0 || s.q.slots[idx].proc == nil {
+			s.host <- struct{}{}
+			return false
+		}
+		_, q := s.take(idx)
+		if q.dead {
+			continue
+		}
+		q.switchIn(nil, true)
+		if q == p {
+			return true
+		}
+		q.resume <- nil
 		return false
 	}
-	s.fire(idx)
-	return true
 }
 
 // EventsFired returns how many kernel events have fired since the

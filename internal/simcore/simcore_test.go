@@ -279,20 +279,3 @@ func TestQuickEventOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStopHaltsRun(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.Schedule(float64(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not halt run: count=%d", count)
-	}
-}

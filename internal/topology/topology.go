@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"grads/internal/cpusim"
@@ -91,8 +92,8 @@ type Grid struct {
 
 	sites  map[string]*Site
 	nodes  map[string]*Node
-	byName []*Node                 // every node, sorted by name; Nodes rebuilds it after AddNode
-	wan    map[string]*netsim.Link // key: siteA + "|" + siteB, lexicographic
+	byName []*Node // every node, sorted by name; Nodes rebuilds it after AddNode
+	wan    map[sitePair]*netsim.Link
 
 	watchers    []nodeWatcher
 	nextWatchID int
@@ -111,7 +112,7 @@ func NewGrid(sim *simcore.Sim) *Grid {
 		Net:   netsim.New(sim),
 		sites: make(map[string]*Site),
 		nodes: make(map[string]*Node),
-		wan:   make(map[string]*netsim.Link),
+		wan:   make(map[sitePair]*netsim.Link),
 	}
 }
 
@@ -167,18 +168,36 @@ func (g *Grid) Connect(siteA, siteB string, bw, lat float64) *netsim.Link {
 	}
 	key := wanKey(siteA, siteB)
 	if _, dup := g.wan[key]; dup {
-		panic(fmt.Sprintf("topology: duplicate WAN link %s", key))
+		panic(fmt.Sprintf("topology: duplicate WAN link %s", key.linkName()))
 	}
-	l := g.Net.AddLink("wan:"+key, bw, lat)
+	l := g.Net.AddLink(key.linkName(), bw, lat)
 	g.wan[key] = l
 	return l
 }
 
-func wanKey(a, b string) string {
+// sitePair keys a WAN link by the names of the two sites it joins, in
+// lexicographic order.
+type sitePair struct{ a, b string }
+
+func wanKey(a, b string) sitePair {
 	if a > b {
 		a, b = b, a
 	}
-	return a + "|" + b
+	return sitePair{a, b}
+}
+
+// linkName is the pair's netsim link name, "wan:A|B". A site name that
+// holds '|' or '"' is Go-quoted in it, so two pairs never share a link
+// name.
+func (k sitePair) linkName() string {
+	return "wan:" + quoteSite(k.a) + "|" + quoteSite(k.b)
+}
+
+func quoteSite(name string) string {
+	if strings.ContainsAny(name, `|"`) {
+		return strconv.Quote(name)
+	}
+	return name
 }
 
 // Node returns the named node, or nil.

@@ -62,6 +62,40 @@ func TestDuplicatePanics(t *testing.T) {
 	assertPanics(t, "dup wan", func() { g.Connect("B", "A", 1e5, 0.01) })
 }
 
+// Site names may hold the '|' that separates the two names of a WAN link's
+// netsim name: the pairs (A|B, C) and (A, B|C) are still distinct links.
+func TestWANKeyedBySitePair(t *testing.T) {
+	g, err := ParseDML(simcore.New(1), `
+site A|B bw=1Gb lat=100us
+site C bw=1Gb lat=100us
+site A bw=1Gb lat=100us
+site B|C bw=1Gb lat=100us
+wan A|B C bw=10Mb lat=20ms
+wan A B|C bw=100Mb lat=5ms
+`)
+	if err != nil {
+		t.Fatalf("ParseDML: %v", err)
+	}
+	first, second := g.WAN("C", "A|B"), g.WAN("A", "B|C")
+	if first == nil || first.Latency() != 0.02 {
+		t.Fatalf("WAN(C, A|B) = %+v, want the 20 ms link", first)
+	}
+	if second == nil || second.Latency() != 0.005 {
+		t.Fatalf("WAN(A, B|C) = %+v, want the 5 ms link", second)
+	}
+	for _, pair := range [][2]string{{"A", "C"}, {"A", "A|B"}, {"A|B", "B|C"}, {"B|C", "C"}} {
+		if w := g.WAN(pair[0], pair[1]); w != nil {
+			t.Fatalf("WAN(%s, %s) = %s, want no link", pair[0], pair[1], w.Name())
+		}
+	}
+	if first.Name() == second.Name() {
+		t.Fatalf("both links are named %q", first.Name())
+	}
+	if g.Net.Link(first.Name()) != first || g.Net.Link(second.Name()) != second {
+		t.Fatal("a WAN link is not found under its own netsim name")
+	}
+}
+
 func assertPanics(t *testing.T, name string, fn func()) {
 	t.Helper()
 	defer func() {
