@@ -7,7 +7,9 @@
 package cop
 
 import (
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"grads/internal/binder"
 	"grads/internal/simcore"
@@ -77,74 +79,90 @@ type GreedyMapper struct {
 	SameSite bool
 }
 
-// Map implements Mapper.
+// Map implements Mapper. It computes each live node's speed once, sorts
+// the nodes in a pooled scratch slice, and allocates only its result.
 func (m GreedyMapper) Map(pool []*topology.Node, avail func(*topology.Node) float64) []*topology.Node {
 	if len(pool) == 0 || m.Width <= 0 {
 		return nil
 	}
-	speed := func(n *topology.Node) float64 {
+	buf := rankedPool.Get().(*[]ranked)
+	defer func() {
+		clear(*buf)
+		*buf = (*buf)[:0]
+		rankedPool.Put(buf)
+	}()
+	// Failed nodes are never schedulable.
+	rs := (*buf)[:0]
+	for _, n := range pool {
+		if n.Down() {
+			continue
+		}
 		a := 1.0
 		if avail != nil {
 			a = avail(n)
 		}
-		return n.Spec.Flops() * a
+		rs = append(rs, ranked{n: n, speed: n.Spec.Flops() * a})
 	}
-	// Failed nodes are never schedulable.
-	var alive []*topology.Node
-	for _, n := range pool {
-		if !n.Down() {
-			alive = append(alive, n)
-		}
-	}
-	pool = alive
+	*buf = rs
 	if !m.SameSite {
-		return topFastest(pool, m.Width, speed)
+		slices.SortFunc(rs, fasterFirst)
+		return nodesOf(rs[:min(len(rs), m.Width)])
 	}
 	// Per site: aggregate lock-step rate of its best min(width, |site|)
-	// nodes = count * slowest-selected speed.
-	bySite := map[string][]*topology.Node{}
-	for _, n := range pool {
-		bySite[n.Site().Name] = append(bySite[n.Site().Name], n)
-	}
-	var bestSet []*topology.Node
-	bestRate := -1.0
-	// Deterministic site order.
-	names := make([]string, 0, len(bySite))
-	for s := range bySite {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	for _, s := range names {
-		sel := topFastest(bySite[s], m.Width, speed)
-		if len(sel) == 0 {
-			continue
+	// nodes = count * slowest-selected speed. Sites are visited in name
+	// order and the first best rate wins.
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if c := strings.Compare(a.n.Site().Name, b.n.Site().Name); c != 0 {
+			return c
 		}
-		slowest := speed(sel[len(sel)-1])
-		rate := float64(len(sel)) * slowest
-		if rate > bestRate {
-			bestRate, bestSet = rate, sel
-		}
-	}
-	return bestSet
-}
-
-// topFastest returns up to k nodes sorted by descending speed (name-stable).
-func topFastest(pool []*topology.Node, k int, speed func(*topology.Node) float64) []*topology.Node {
-	sel := append([]*topology.Node(nil), pool...)
-	sortNodes(sel, speed)
-	if len(sel) > k {
-		sel = sel[:k]
-	}
-	return sel
-}
-
-// sortNodes orders nodes by descending speed, ties broken by name.
-func sortNodes(ns []*topology.Node, speed func(*topology.Node) float64) {
-	sort.SliceStable(ns, func(i, j int) bool {
-		si, sj := speed(ns[i]), speed(ns[j])
-		if si != sj {
-			return si > sj
-		}
-		return ns[i].Name() < ns[j].Name()
+		return fasterFirst(a, b)
 	})
+	var best []ranked
+	bestRate := -1.0
+	for i := 0; i < len(rs); {
+		site := rs[i].n.Site().Name
+		j := i + 1
+		for j < len(rs) && rs[j].n.Site().Name == site {
+			j++
+		}
+		sel := rs[i:min(j, i+m.Width)]
+		if rate := float64(len(sel)) * sel[len(sel)-1].speed; rate > bestRate {
+			bestRate, best = rate, sel
+		}
+		i = j
+	}
+	return nodesOf(best)
+}
+
+// ranked is a pool node with its forecast effective speed.
+type ranked struct {
+	n     *topology.Node
+	speed float64
+}
+
+// rankedPool holds Map's scratch slices; a pool rather than one shared
+// buffer because sharded kernels map on several goroutines at once.
+var rankedPool = sync.Pool{New: func() any { return new([]ranked) }}
+
+// fasterFirst orders nodes by descending speed, ties broken by name.
+func fasterFirst(a, b ranked) int {
+	switch {
+	case a.speed > b.speed:
+		return -1
+	case a.speed < b.speed:
+		return 1
+	}
+	return strings.Compare(a.n.Name(), b.n.Name())
+}
+
+// nodesOf copies the ranked nodes into a fresh slice, or returns nil.
+func nodesOf(rs []ranked) []*topology.Node {
+	if len(rs) == 0 {
+		return nil
+	}
+	out := make([]*topology.Node, len(rs))
+	for i, r := range rs {
+		out[i] = r.n
+	}
+	return out
 }

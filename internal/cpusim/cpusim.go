@@ -10,6 +10,7 @@ package cpusim
 
 import (
 	"math"
+	"slices"
 
 	"grads/internal/simcore"
 	"grads/internal/telemetry"
@@ -31,14 +32,46 @@ type CPU struct {
 
 	busyTime   float64 // integral of "CPU has >=1 task" for utilization stats
 	lastBusyAt float64
+
+	// Recycled task records and the completion batch's reused buffer.
+	free     []*task
+	finished []taskRef
 }
 
+// task is one Compute call in progress. Records are recycled (CPU.release):
+// gen counts the record's reuses, so a taskRef taken before a release can
+// tell that its task is gone.
 type task struct {
 	seq       int64
 	remaining float64 // operations left
 	total     float64
 	proc      *simcore.Proc
 	removed   bool
+	gen       uint32
+}
+
+// taskRef names one use of a recycled task record.
+type taskRef struct {
+	t   *task
+	gen uint32
+}
+
+// newTask takes a record off the free list, or allocates one.
+func (c *CPU) newTask() *task {
+	if k := len(c.free) - 1; k >= 0 {
+		t := c.free[k]
+		c.free[k] = nil
+		c.free = c.free[:k]
+		return t
+	}
+	return new(task)
+}
+
+// release returns a task whose Compute call has returned to the free
+// list, dropping its process and invalidating every taskRef to it.
+func (c *CPU) release(t *task) {
+	*t = task{gen: t.gen + 1}
+	c.free = append(c.free, t)
 }
 
 // New creates a CPU with the given speed in operations per second.
@@ -163,19 +196,20 @@ func (c *CPU) onCompletion() {
 	c.advance()
 	now := c.sim.Now()
 	rate := c.rate()
-	var finished []*task
-	var rest []*task
+	finished := c.finished[:0]
+	rest := c.tasks[:0]
 	for _, t := range c.tasks {
 		// Done when no work remains, or when the residual completion time
 		// is absorbed by floating point (now + dt == now) and the event
 		// would loop forever without advancing the clock.
 		if t.remaining <= 0 || now+t.remaining/rate == now {
 			t.remaining = 0
-			finished = append(finished, t)
+			finished = append(finished, taskRef{t, t.gen})
 		} else {
 			rest = append(rest, t)
 		}
 	}
+	clear(c.tasks[len(rest):])
 	c.setTasks(rest)
 	c.reschedule()
 	if len(finished) > 0 {
@@ -183,17 +217,24 @@ func (c *CPU) onCompletion() {
 	}
 	if tel := c.sim.Telemetry(); tel != nil {
 		tel.Counter("cpusim", "tasks_completed").Add(uint64(len(finished)))
-		for _, t := range finished {
+		for _, r := range finished {
 			tel.Emit(telemetry.Event{
-				Type: telemetry.EvTaskDone, Comp: "cpu:" + c.name, Name: t.proc.Name(),
-				Args: []telemetry.Arg{telemetry.F("ops", t.total)},
+				Type: telemetry.EvTaskDone, Comp: "cpu:" + c.name, Name: r.t.proc.Name(),
+				Args: []telemetry.Arg{telemetry.F("ops", r.t.total)},
 			})
 		}
 	}
-	for _, t := range finished {
-		t.removed = true
-		t.proc.Resume(nil)
+	// A resumed process may interrupt the process of a later finished
+	// task, whose Compute then returns the interrupt and releases the
+	// task; that process has moved on, so its stale entry is skipped.
+	for i, r := range finished {
+		finished[i] = taskRef{}
+		if r.t.gen == r.gen {
+			r.t.removed = true
+			r.t.proc.Resume(nil)
+		}
 	}
+	c.finished = finished[:0]
 }
 
 // setTasks replaces the task set, maintaining the busy-time integral.
@@ -218,11 +259,9 @@ func (c *CPU) removeTask(t *task) {
 	}
 	t.removed = true
 	c.advance()
-	rest := c.tasks[:0:0]
-	for _, x := range c.tasks {
-		if x != t {
-			rest = append(rest, x)
-		}
+	rest := c.tasks
+	if i := slices.Index(rest, t); i >= 0 {
+		rest = slices.Delete(rest, i, i+1)
 	}
 	c.setTasks(rest)
 	c.reschedule()
@@ -238,7 +277,8 @@ func (c *CPU) Compute(p *simcore.Proc, ops float64) (completed float64, err erro
 	}
 	c.advance()
 	c.nextSeq++
-	t := &task{seq: c.nextSeq, remaining: ops, total: ops, proc: p}
+	t := c.newTask()
+	t.seq, t.remaining, t.total, t.proc = c.nextSeq, ops, ops, p
 	c.setTasks(append(c.tasks, t))
 	c.reschedule()
 	start := c.sim.Now()
@@ -252,10 +292,14 @@ func (c *CPU) Compute(p *simcore.Proc, ops float64) (completed float64, err erro
 	if err = p.ParkWith(nil); err != nil {
 		c.removeTask(t)
 		c.emitShare("task-interrupted")
-		return t.total - t.remaining, err
+		completed = t.total - t.remaining
+		c.release(t)
+		return completed, err
 	}
 	if tel := c.sim.Telemetry(); tel != nil {
 		tel.Histogram("cpusim", "task_seconds").Observe(c.sim.Now() - start)
 	}
-	return t.total, nil
+	completed = t.total
+	c.release(t)
+	return completed, nil
 }

@@ -90,3 +90,24 @@ func TestReplicaForPrefersSameSiteLiveDepot(t *testing.T) {
 		t.Fatalf("ReplicaFor(a1) with everything down = %v, want nil", got)
 	}
 }
+
+// TestReplicaForSeesLaterDepots: a depot added after ReplicaFor built its
+// name index takes its place in name order.
+func TestReplicaForSeesLaterDepots(t *testing.T) {
+	sim := simcore.New(1)
+	g := replicaGrid(sim)
+	s := New(sim, g)
+	a1, a2, b1 := g.Node("a1"), g.Node("a2"), g.Node("b1")
+	s.AddDepot(a1, 0)
+	s.AddDepot(b1, 0)
+	if got := s.ReplicaFor(a1); got != b1 {
+		t.Fatalf("ReplicaFor(a1) = %v, want cross-site b1", got)
+	}
+	s.AddDepot(a2, 0)
+	if got := s.ReplicaFor(a1); got != a2 {
+		t.Fatalf("ReplicaFor(a1) after AddDepot(a2) = %v, want same-site a2", got)
+	}
+	if got := s.ReplicaFor(b1); got != a1 {
+		t.Fatalf("ReplicaFor(b1) = %v, want a1, the first by name", got)
+	}
+}

@@ -11,7 +11,8 @@ package ibp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"grads/internal/faultinject"
 	"grads/internal/simcore"
@@ -58,6 +59,10 @@ type System struct {
 	grid   *topology.Grid
 	depots map[string]*Depot // node name -> depot
 	health *faultinject.Health
+
+	// byName is the depot nodes sorted by name, built on first use after
+	// an AddDepot.
+	byName []*topology.Node
 }
 
 // SetHealth attaches the chaos-layer availability handle for the IBP
@@ -90,6 +95,7 @@ func (s *System) AddDepot(node *topology.Node, diskRate float64) *Depot {
 	}
 	d := &Depot{node: node, diskRate: diskRate, blobs: make(map[string]blob)}
 	s.depots[node.Name()] = d
+	s.byName = nil
 	return d
 }
 
@@ -182,14 +188,15 @@ func (s *System) RetrievePartial(p *simcore.Proc, depotNode, to *topology.Node, 
 // sorted node order so the choice is deterministic. It returns nil when no
 // other live depot exists.
 func (s *System) ReplicaFor(primary *topology.Node) *topology.Node {
-	names := make([]string, 0, len(s.depots))
-	for name := range s.depots {
-		names = append(names, name)
+	if s.byName == nil {
+		s.byName = make([]*topology.Node, 0, len(s.depots))
+		for _, d := range s.depots {
+			s.byName = append(s.byName, d.node)
+		}
+		slices.SortFunc(s.byName, func(a, b *topology.Node) int { return strings.Compare(a.Name(), b.Name()) })
 	}
-	sort.Strings(names)
 	var fallback *topology.Node
-	for _, name := range names {
-		n := s.depots[name].node
+	for _, n := range s.byName {
 		if n == primary || n.Down() {
 			continue
 		}

@@ -1,9 +1,11 @@
 package metasched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"grads/internal/appmgr"
@@ -242,20 +244,22 @@ type Scheduler struct {
 	resch  *rescheduler.Rescheduler
 	det    *resilience.Detector
 
-	jobs   []*Job // by ID
-	byName map[string]*Job
-	queued []*Job // always in admission order under the policy
+	jobs    []*Job // by ID
+	byName  map[string]*Job
+	queued  []*Job // always in admission order under the policy
+	running []*Job // the JobRunning jobs by ID, kept by setState
 
 	// Scratch reused by every round: the GIS pool and its free part, the
-	// running jobs, their estimated lease releases, and the round's NWS
-	// availability view by node name. Reuse is safe because rounds never
-	// overlap (inRound), every mapper copies the pool it is given, and
-	// Grant copies the nodes it leases.
+	// running jobs' estimated lease releases, the round's NWS availability
+	// view by node name, and the placements made over the current free
+	// pool. Reuse is safe because rounds never overlap (inRound), every
+	// mapper copies the pool it is given, and Grant copies the nodes it
+	// leases.
 	pool     []*topology.Node
 	free     []*topology.Node
-	running  []*Job
 	releases []release
 	avail    map[string]float64
+	placed   []mapped
 
 	proc      *simcore.Proc
 	inRound   bool
@@ -371,7 +375,7 @@ func (s *Scheduler) arrive(job *Job) {
 		return
 	}
 	job.cop = app
-	job.state = JobQueued
+	s.setState(job, JobQueued)
 	job.enqueuedAt = s.cfg.Sim.Now()
 	s.enqueue(job)
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
@@ -545,15 +549,41 @@ func (s *Scheduler) round(p *simcore.Proc) {
 }
 
 // freeNodes filters the round's GIS pool down to its free part, in a
-// scratch slice that the next call overwrites.
+// scratch slice that the next call overwrites, and forgets the placements
+// made over the previous free pool.
 func (s *Scheduler) freeNodes() []*topology.Node {
 	s.free = s.leases.Free(s.free[:0], s.pool)
+	clear(s.placed)
+	s.placed = s.placed[:0]
 	return s.free
 }
 
+// mapped is one memoized placement: what a cop.GreedyMapper chose from
+// the current free pool.
+type mapped struct {
+	m     cop.GreedyMapper
+	nodes []*topology.Node
+}
+
 // placement maps a queued job over the free pool through its own mapper.
+// Within a round, free and avail stay the same until an admission changes
+// the free pool (freeNodes), so a GreedyMapper's choice depends only on
+// its value and is made once per value; the shared result is safe because
+// Grant copies the nodes it leases. Other mapper types are not memoized.
 func (s *Scheduler) placement(job *Job, free []*topology.Node, avail func(*topology.Node) float64) []*topology.Node {
-	return job.cop.Mapper().Map(free, avail)
+	m := job.cop.Mapper()
+	g, ok := m.(cop.GreedyMapper)
+	if !ok {
+		return m.Map(free, avail)
+	}
+	for _, p := range s.placed {
+		if p.m == g {
+			return p.nodes
+		}
+	}
+	nodes := g.Map(free, avail)
+	s.placed = append(s.placed, mapped{m: g, nodes: nodes})
+	return nodes
 }
 
 // needWidth is the lease size the broker insists on for a job right now:
@@ -567,17 +597,23 @@ func (s *Scheduler) needWidth(j *Job) int {
 	return w
 }
 
-// runningJobs returns the running jobs ordered by ID, in a scratch slice
-// that the next call overwrites.
-func (s *Scheduler) runningJobs() []*Job {
-	out := s.running[:0]
-	for _, j := range s.jobs {
-		if j.state == JobRunning {
-			out = append(out, j)
+// runningJobs returns the running jobs ordered by ID. The slice is the
+// scheduler's index: callers must not modify it or keep it across a state
+// change.
+func (s *Scheduler) runningJobs() []*Job { return s.running }
+
+// setState moves a job to state st, keeping the running index in step
+// with every transition into and out of JobRunning.
+func (s *Scheduler) setState(job *Job, st JobState) {
+	if was, is := job.state == JobRunning, st == JobRunning; was != is {
+		i, _ := slices.BinarySearchFunc(s.running, job.ID, func(j *Job, id int) int { return cmp.Compare(j.ID, id) })
+		if is {
+			s.running = slices.Insert(s.running, i, job)
+		} else {
+			s.running = slices.Delete(s.running, i, i+1)
 		}
 	}
-	s.running = out
-	return out
+	job.state = st
 }
 
 // admit grants the lease and hands the job to its own application manager
@@ -589,7 +625,7 @@ func (s *Scheduler) admit(p *simcore.Proc, job *Job, nodes []*topology.Node) boo
 	}
 	now := p.Now()
 	job.lease = lease
-	job.state = JobRunning
+	s.setState(job, JobRunning)
 	if !job.started {
 		job.started = true
 		job.startAt = now
@@ -683,7 +719,7 @@ func (s *Scheduler) requeue(job *Job, rep *appmgr.Report) {
 		}
 		job.notBefore = s.cfg.Sim.Now() + s.cfg.RequeueBackoff*float64(int(1)<<exp)
 	}
-	job.state = JobQueued
+	s.setState(job, JobQueued)
 	job.enqueuedAt = s.cfg.Sim.Now()
 	s.enqueue(job)
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
@@ -696,7 +732,7 @@ func (s *Scheduler) requeue(job *Job, rep *appmgr.Report) {
 // "it broke" — and from "it vanished", which must never happen.
 func (s *Scheduler) quarantine(job *Job) {
 	now := s.cfg.Sim.Now()
-	job.state = JobQuarantined
+	s.setState(job, JobQuarantined)
 	job.finishAt = now
 	job.failErr = fmt.Errorf("metasched: %s quarantined after %d requeues", job.Spec.Name, job.requeues)
 	s.quarantined++
@@ -727,10 +763,10 @@ func (s *Scheduler) finish(job *Job, rep *appmgr.Report, err error) {
 	}
 	job.finishAt = now
 	if err != nil {
-		job.state = JobFailed
+		s.setState(job, JobFailed)
 		job.failErr = err
 	} else {
-		job.state = JobDone
+		s.setState(job, JobDone)
 	}
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
 		tel.Histogram(s.comp, "turnaround_seconds").Observe(now - job.submitAt)

@@ -182,11 +182,12 @@ func newScanBroker(tb testing.TB) (s *Scheduler, free []*topology.Node) {
 	}
 	nodes := sortedByName(r.grid.Nodes())
 	for i, part := range [][]*topology.Node{nodes[:4], nodes[4:10]} {
-		j := &Job{ID: len(s.jobs) + 1, state: JobRunning, Spec: JobSpec{EstRuntime: float64(100 * (i + 1))}}
+		j := &Job{ID: len(s.jobs) + 1, Spec: JobSpec{EstRuntime: float64(100 * (i + 1))}}
 		if j.lease, err = s.leases.Grant("running", part); err != nil {
 			tb.Fatalf("grant: %v", err)
 		}
 		s.jobs = append(s.jobs, j)
+		s.setState(j, JobRunning)
 	}
 	for i := 0; i < 500; i++ {
 		w := 3 + i%6
@@ -219,8 +220,9 @@ func BenchmarkAdmissionScan(b *testing.B) {
 }
 
 // BenchmarkAdmissionScanReference is the same attempt the way the broker
-// used to make it: filter and sort the queue through orderQueue, then run
-// every candidate's mapper.
+// used to make it: filter and sort the queue through orderQueue, scan
+// every job for the running ones, then run every candidate's mapper with
+// no placement memo.
 func BenchmarkAdmissionScanReference(b *testing.B) {
 	s, free := newScanBroker(b)
 	avail := func(*topology.Node) float64 { return 1 }
@@ -229,10 +231,10 @@ func BenchmarkAdmissionScanReference(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		order := orderQueue(s.cfg.Policy, eligibleIn(s.queued, 0), prio)
-		shadow, extra := s.backfillWindow(0, len(free), s.needWidth(order[0]), s.runningJobs())
+		shadow, extra := s.backfillWindow(0, len(free), s.needWidth(order[0]), runningScan(s))
 		found := -1
 		for i, cand := range order[1:] {
-			nodes := s.placement(cand, free, avail)
+			nodes := cand.cop.Mapper().Map(free, avail)
 			if len(nodes) < s.needWidth(cand) || (cand.Spec.EstRuntime > shadow && len(nodes) > extra) {
 				continue
 			}

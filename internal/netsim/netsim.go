@@ -35,6 +35,19 @@
 // virtual time advances, so no process can observe stale rates across an
 // interval; synchronous readers (EstimateRate, FlowSnapshot) force the flush
 // themselves.
+//
+// # Recycled flow records
+//
+// A transfer takes its flow record from a free list the network owns and
+// returns it when Transfer returns, and every EstimateRate probe reuses
+// one phantom flow, so steady-state transfers and probes allocate nothing.
+// A record's generation counts its reuses. A completion batch holds
+// (flow, generation) references, because resuming one finished transfer's
+// process can interrupt the process of a later one: that Transfer returns
+// the interrupt and releases its record, and the batch skips the stale
+// reference instead of waking a process that has moved on. Routes are
+// shared read-only slices (topology.Grid.Route); the network never writes
+// into them.
 package netsim
 
 import (
@@ -139,12 +152,20 @@ type Network struct {
 	compScratch  []*flow
 	linkScratch  []*Link
 	workScratch  []*flow
-	finScratch   []*flow
+	finScratch   []flowRef
+
+	// Recycled flow records: a finished or interrupted transfer returns its
+	// flow here, and probe is the one phantom flow every EstimateRate uses.
+	freeFlows []*flow
+	probe     flow
 
 	statSolves      int64 // progressive-filling passes run
 	statFlowsSolved int64 // flow rates recomputed, summed over passes
 }
 
+// flow is one active transfer. Records are recycled (Network.release):
+// gen counts the record's reuses, so a flowRef taken before a release
+// can tell that its flow is gone.
 type flow struct {
 	seq       int64
 	route     []*Link
@@ -156,6 +177,31 @@ type flow struct {
 	src, dst  string // endpoint labels for fault targeting ("" = unlabeled)
 
 	mark int64 // component-walk visit stamp
+	gen  uint32
+}
+
+// flowRef names one use of a recycled flow record.
+type flowRef struct {
+	f   *flow
+	gen uint32
+}
+
+// newFlow takes a record off the free list, or allocates one.
+func (n *Network) newFlow() *flow {
+	if k := len(n.freeFlows) - 1; k >= 0 {
+		f := n.freeFlows[k]
+		n.freeFlows[k] = nil
+		n.freeFlows = n.freeFlows[:k]
+		return f
+	}
+	return new(flow)
+}
+
+// release returns a flow whose transfer has returned to the free list,
+// dropping its references and invalidating every flowRef to it.
+func (n *Network) release(f *flow) {
+	*f = flow{gen: f.gen + 1}
+	n.freeFlows = append(n.freeFlows, f)
 }
 
 // New creates an empty network bound to sim.
@@ -290,14 +336,14 @@ func (n *Network) FailEndpoint(name string, cause error) int {
 // The victims' Transfer calls unwind (removing themselves from the flow
 // set) as each interrupt is delivered. It returns the number interrupted.
 func (n *Network) failFlows(match func(*flow) bool, cause error) int {
-	var victims []*flow
+	var victims []*simcore.Proc
 	for _, f := range n.flows {
 		if match(f) {
-			victims = append(victims, f)
+			victims = append(victims, f.proc)
 		}
 	}
-	for _, f := range victims {
-		f.proc.Interrupt(cause)
+	for _, p := range victims {
+		p.Interrupt(cause)
 	}
 	if len(victims) > 0 {
 		if tel := n.sim.Telemetry(); tel != nil {
@@ -450,7 +496,8 @@ func (n *Network) EstimateRate(route []*Link) float64 {
 	n.realloc.Flush()
 	// The phantom's seq sorts after every real flow, mirroring its position
 	// at the tail of the flow list.
-	phantom := &flow{seq: math.MaxInt64, route: route, remaining: 1}
+	phantom := &n.probe
+	phantom.seq, phantom.route, phantom.remaining, phantom.rate = math.MaxInt64, route, 1, 0
 	n.flows = append(n.flows, phantom)
 	n.indexFlow(phantom)
 	n.probeSolve(route)
@@ -458,6 +505,7 @@ func (n *Network) EstimateRate(route []*Link) float64 {
 	n.flows[len(n.flows)-1] = nil
 	n.flows = n.flows[:len(n.flows)-1]
 	n.unindexFlow(phantom)
+	phantom.route = nil
 	n.probeSolve(route) // restore pre-probe rates (bit-identical re-solve)
 	return rate
 }
@@ -515,7 +563,9 @@ func (n *Network) TransferLabeled(p *simcore.Proc, route []*Link, bytes float64,
 	}
 	n.advance()
 	n.nextSeq++
-	f := &flow{seq: n.nextSeq, route: route, remaining: bytes, total: bytes, start: n.sim.Now(), proc: p, src: src, dst: dst}
+	f := n.newFlow()
+	f.seq, f.route, f.remaining, f.total, f.start = n.nextSeq, route, bytes, bytes, n.sim.Now()
+	f.proc, f.src, f.dst = p, src, dst
 	n.flows = append(n.flows, f)
 	n.indexFlow(f)
 	n.invalidateRoute("flow-start", route)
@@ -528,11 +578,14 @@ func (n *Network) TransferLabeled(p *simcore.Proc, route []*Link, bytes float64,
 			},
 		})
 	}
-	if err := p.ParkWith(nil); err != nil {
+	err = p.ParkWith(nil)
+	moved = f.total
+	if err != nil {
 		n.removeFlow(f)
-		return f.total - f.remaining, err
+		moved -= f.remaining
 	}
-	return f.total, nil
+	n.release(f)
+	return moved, err
 }
 
 // indexFlow registers f on every link of its route.
@@ -739,7 +792,7 @@ func (n *Network) onCompletion() {
 			n.bytesMoved += f.total
 			n.unindexFlow(f)
 			n.invalidateRoute("flow-end", f.route)
-			finished = append(finished, f)
+			finished = append(finished, flowRef{f, f.gen})
 			if tel != nil {
 				tel.Histogram("netsim", "flow_seconds").Observe(now - f.start)
 				tel.Histogram("netsim", "flow_bytes").Observe(f.total)
@@ -766,9 +819,14 @@ func (n *Network) onCompletion() {
 	}
 	// Resume in a separate pass: a resumed process runs immediately and may
 	// start new transfers, mutating the flow list mid-iteration otherwise.
-	for i, f := range finished {
-		finished[i] = nil
-		f.proc.Resume(nil)
+	// A resumed process may also interrupt the process of a later finished
+	// flow, whose Transfer then returns the interrupt and releases the
+	// flow; that process has moved on, so its stale entry is skipped.
+	for i, r := range finished {
+		finished[i] = flowRef{}
+		if r.f.gen == r.gen {
+			r.f.proc.Resume(nil)
+		}
 	}
 	n.finScratch = finished[:0]
 }

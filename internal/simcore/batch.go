@@ -12,9 +12,10 @@ package simcore
 // A Coalescer is single-threaded like the rest of the kernel: all methods
 // must be called from kernel event context or a simulated process.
 type Coalescer struct {
-	sim *Sim
-	fn  func()
-	ev  Event
+	sim    *Sim
+	fn     func()
+	fireFn func() // c.fire, bound once so Trigger allocates nothing
+	ev     Event
 
 	fired uint64 // number of callback runs (Trigger batches + Flushes)
 	calls uint64 // number of Trigger calls absorbed
@@ -23,7 +24,9 @@ type Coalescer struct {
 // NewCoalescer returns a coalescer that runs fn at most once per batch of
 // same-instant triggers.
 func NewCoalescer(sim *Sim, fn func()) *Coalescer {
-	return &Coalescer{sim: sim, fn: fn}
+	c := &Coalescer{sim: sim, fn: fn}
+	c.fireFn = c.fire
+	return c
 }
 
 // Trigger schedules the callback to run once at the current virtual time,
@@ -34,7 +37,7 @@ func (c *Coalescer) Trigger() {
 	if c.ev.Live() {
 		return
 	}
-	c.ev = c.sim.Schedule(0, c.fire)
+	c.ev = c.sim.Schedule(0, c.fireFn)
 }
 
 // fire runs as the coalesced event's callback; by then the kernel has

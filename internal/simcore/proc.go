@@ -36,12 +36,14 @@ type Proc struct {
 	// called by Interrupt before resuming with an error.
 	unblock func()
 
-	// sleepEv is the pending wakeup of the current Sleep, and cancelSleep
-	// the once-allocated unblock function that revokes it — Sleep itself
-	// allocates nothing (see Event's generation counters for why a stale
-	// sleepEv is harmless).
-	sleepEv     Event
-	cancelSleep func()
+	// sleepEv is the pending wakeup of the current Sleep. cancel is the
+	// unblock function of Sleep and of every wait queue, bound once at
+	// Spawn so that parking allocates nothing: it revokes sleepEv and
+	// bumps waitGen, which turns the process's wait-queue entry stale.
+	// Revoking the one that is not pending is harmless (see Event's
+	// generation counters and waitEntry).
+	sleepEv Event
+	cancel  func()
 
 	alive bool
 	dead  bool
@@ -49,6 +51,11 @@ type Proc struct {
 	// dispatched is set at each switch-in: true when the event loop woke
 	// the process, false for a synchronous Resume or Interrupt.
 	dispatched bool
+
+	// waitGen is the generation a wait-queue entry of this process must
+	// carry to be live. It shares the word after the flags, which keeps
+	// Proc in the 96-byte size class (TestProcSizeClass).
+	waitGen uint32
 }
 
 // Spawn creates a process named name executing body and schedules it to
@@ -68,7 +75,10 @@ func (s *Sim) SpawnAt(t float64, name string, body func(p *Proc)) *Proc {
 		parked: make(chan struct{}),
 		alive:  true,
 	}
-	p.cancelSleep = func() { p.sleepEv.Cancel() }
+	p.cancel = func() {
+		p.sleepEv.Cancel()
+		p.waitGen++
+	}
 	s.liveProcs[p.id] = p
 	s.cSpawns.Add(1)
 	if s.tel != nil {
@@ -165,7 +175,7 @@ func (p *Proc) Sleep(d float64) error {
 		d = 0
 	}
 	p.sleepEv = p.sim.scheduleAt(p.sim.now+d, nil, p)
-	p.unblock = p.cancelSleep
+	p.unblock = p.cancel
 	return p.park()
 }
 

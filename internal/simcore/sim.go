@@ -15,6 +15,17 @@
 // back to the host only for a callback or at the end of the call. A
 // synchronous switch — Proc.Resume, Interrupt or Kill — instead runs the
 // target until it parks and then returns to its caller.
+//
+// Parking allocates nothing. Event records are recycled through the
+// arena's free list, and an Event handle carries its slot's generation, so
+// a stale handle is inert. Wait queues (Signal, Chan) hold (process,
+// generation) entries in reused buffers: a process's once-bound cancel
+// function, which Interrupt calls, bumps the process's wait generation and
+// so turns its queued entry stale in place, and a wakeup skips stale
+// entries. Components that recycle their own per-operation records (the
+// network's flows, the CPU's tasks) follow the same rule: a reference
+// taken before a record is released names the old generation, and using
+// it is a no-op.
 package simcore
 
 import (

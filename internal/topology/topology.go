@@ -8,7 +8,6 @@ package topology
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -78,6 +77,10 @@ type Site struct {
 	Name  string
 	LAN   *netsim.Link
 	nodes []*Node
+
+	// routes[b] is the route Grid.Route hands out from this site to site
+	// b (this site included), built on first use.
+	routes map[*Site][]*netsim.Link
 }
 
 // Nodes returns the site's nodes in creation order.
@@ -93,6 +96,7 @@ type Grid struct {
 	sites  map[string]*Site
 	nodes  map[string]*Node
 	byName []*Node // every node, sorted by name; Nodes rebuilds it after AddNode
+	bySite []*Site // every site, sorted by name; Sites rebuilds it after AddSite
 	wan    map[sitePair]*netsim.Link
 
 	watchers    []nodeWatcher
@@ -223,14 +227,19 @@ func (g *Grid) Nodes() []*Node {
 	return g.byName[:len(g.byName):len(g.byName)]
 }
 
-// Sites returns all sites sorted by name.
+// Sites returns all sites sorted by name. Like Nodes, the slice is the
+// grid's own index: callers must not sort it or write into it, appending
+// to it copies, and a slice taken before an AddSite keeps its contents.
 func (g *Grid) Sites() []*Site {
-	out := make([]*Site, 0, len(g.sites))
-	for _, s := range g.sites {
-		out = append(out, s)
+	if len(g.bySite) != len(g.sites) {
+		idx := make([]*Site, 0, len(g.sites))
+		for _, s := range g.sites {
+			idx = append(idx, s)
+		}
+		slices.SortFunc(idx, func(a, b *Site) int { return strings.Compare(a.Name, b.Name) })
+		g.bySite = idx
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return g.bySite[:len(g.bySite):len(g.bySite)]
 }
 
 // WAN returns the WAN link between two sites, or nil if they are not
@@ -240,18 +249,32 @@ func (g *Grid) WAN(siteA, siteB string) *netsim.Link { return g.wan[wanKey(siteA
 // Route returns the link sequence a message from a to b traverses:
 // nothing within a node, the site LAN within a site, and
 // LAN–WAN–LAN across sites. It panics if the sites are not connected.
+// A route depends only on the ordered site pair, so each pair's route is
+// built once and shared: callers must not write into it, and appending to
+// it copies.
 func (g *Grid) Route(a, b *Node) []*netsim.Link {
 	if a == b {
 		return nil
 	}
-	if a.site == b.site {
-		return []*netsim.Link{a.site.LAN}
+	from, to := a.site, b.site
+	if r, ok := from.routes[to]; ok {
+		return r
 	}
-	w := g.WAN(a.site.Name, b.site.Name)
-	if w == nil {
-		panic(fmt.Sprintf("topology: no WAN link between %q and %q", a.site.Name, b.site.Name))
+	var r []*netsim.Link
+	if from == to {
+		r = []*netsim.Link{from.LAN}
+	} else {
+		w := g.WAN(from.Name, to.Name)
+		if w == nil {
+			panic(fmt.Sprintf("topology: no WAN link between %q and %q", from.Name, to.Name))
+		}
+		r = []*netsim.Link{from.LAN, w, to.LAN}
 	}
-	return []*netsim.Link{a.site.LAN, w, b.site.LAN}
+	if from.routes == nil {
+		from.routes = make(map[*Site][]*netsim.Link)
+	}
+	from.routes[to] = r
+	return r
 }
 
 // TransferTimeEstimate predicts moving bytes from a to b under current

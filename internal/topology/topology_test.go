@@ -368,3 +368,56 @@ func TestNodesIndex(t *testing.T) {
 		t.Fatalf("appending to Nodes() changed the index to %v", got)
 	}
 }
+
+// TestSitesIndex: Sites is name-sorted whatever order sites were added
+// in, a slice taken before a later AddSite keeps its contents, and
+// appending to the result copies rather than writing into the index.
+func TestSitesIndex(t *testing.T) {
+	g := NewGrid(simcore.New(1))
+	names := func(ss []*Site) []string {
+		out := make([]string, len(ss))
+		for i, s := range ss {
+			out[i] = s.Name
+		}
+		return out
+	}
+	for _, name := range []string{"C", "A", "D"} {
+		g.AddSite(name, 1e6, 1e-4)
+	}
+	before := g.Sites()
+	if got := names(before); !slices.Equal(got, []string{"A", "C", "D"}) {
+		t.Fatalf("Sites() = %v, want [A C D]", got)
+	}
+	g.AddSite("B", 1e6, 1e-4)
+	if got := names(g.Sites()); !slices.Equal(got, []string{"A", "B", "C", "D"}) {
+		t.Fatalf("Sites() after AddSite(B) = %v, want [A B C D]", got)
+	}
+	if got := names(before); !slices.Equal(got, []string{"A", "C", "D"}) {
+		t.Fatalf("slice taken before AddSite(B) changed to %v", got)
+	}
+	grown := append(g.Sites(), g.Site("A"))
+	grown[0] = g.Site("D")
+	if got := names(g.Sites()); !slices.Equal(got, []string{"A", "B", "C", "D"}) {
+		t.Fatalf("appending to Sites() changed the index to %v", got)
+	}
+}
+
+// TestRouteSharedPerSitePair: every node pair of one ordered site pair
+// gets the same route slice, and appending to it copies.
+func TestRouteSharedPerSitePair(t *testing.T) {
+	g := MacroGrid(simcore.New(1))
+	a1, a2 := g.Node("utk-a1"), g.Node("utk-b1")
+	b1, b2 := g.Node("uh-ia64-1"), g.Node("uh-ia32-2")
+	for _, pair := range [][4]*Node{{a1, b1, a2, b2}, {a1, a2, a2, a1}} {
+		r1, r2 := g.Route(pair[0], pair[1]), g.Route(pair[2], pair[3])
+		if &r1[0] != &r2[0] || len(r1) != len(r2) {
+			t.Fatalf("Route(%s, %s) and Route(%s, %s) are separate slices",
+				pair[0].Name(), pair[1].Name(), pair[2].Name(), pair[3].Name())
+		}
+		grown := append(r1, r1[0])
+		grown[0] = nil
+		if r2[0] == nil {
+			t.Fatalf("appending to a route wrote into the shared route")
+		}
+	}
+}
